@@ -89,7 +89,6 @@ class SessionConfig:
     mode: str = "referee"
     seed: int = 0
     b: int = 16
-    adversary: str = "identity"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -132,8 +131,6 @@ class ProtocolMessage:
     payload: PureState | None
     meta: dict
     tag: MacTag | None
-    sender: str
-    receiver: str
 
 
 @dataclass(frozen=True)
@@ -343,7 +340,7 @@ def alice_sign(alice: Party, message_state: PureState, message_copy: PureState) 
     block = qauth_encode(tensor(signed, message_copy), alice.store.link("alice").auth_key_at(0), t)
     meta = {"phase": PHASE_SIGMA, "n": n, "t": t, "key_id": block.key_id}
     tag = wc_tag(alice.macs["alice"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_SIGMA, block.state, meta, tag, "alice", "bob")
+    return ProtocolMessage(PHASE_SIGMA, block.state, meta, tag)
 
 
 def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
@@ -369,52 +366,50 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
         "alice_tag": [sigma_msg.tag.value, sigma_msg.tag.width, sigma_msg.tag.pad_index],
     }
     tag = wc_tag(bob.macs["bob"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_Y, block.state, meta, tag, "bob", "arbiter")
+    return ProtocolMessage(PHASE_Y, block.state, meta, tag)
 
 
-def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage, mode: str | None = None) -> ProtocolMessage:
+def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessage:
     """T_REPLY or ABORT: peel both wrappings, judge the signature, repack.
 
     Validity r = 1 means the unsigned message registers match the plaintext
     copy. In referee mode that comparison is exact (unentangled-factor
     extraction plus fidelity, no sampling); in protocol mode it is one
     symmetric-subspace measurement, the physically implementable check.
+    Metadata that bob MAC'd but that does not name the expected keys, or
+    carries a malformed alice tag, ends in ABORT like any other failed check.
     """
     if y_msg.phase != PHASE_Y:
         raise ProtocolError(f"arbiter expects a Y message, got {y_msg.phase}")
-    cfg = arbiter.config
-    mode = cfg.mode if mode is None else mode
-    if mode not in ("referee", "protocol"):
-        raise ValueError(f"mode must be 'referee' or 'protocol', got {mode!r}")
-    n, t = cfg.n, cfg.t
-    alice_link = arbiter.store.link("alice")
+    n, t = arbiter.config.n, arbiter.config.t
     bob_link = arbiter.store.link("bob")
+    bob_key = bob_link.auth_key_at(0)
+    alice_key = arbiter.store.link("alice").auth_key_at(0)
 
     def abort(stage: str) -> ProtocolMessage:
         meta = {"phase": PHASE_ABORT, "failure_stage": stage}
         tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
-        return ProtocolMessage(PHASE_ABORT, None, meta, tag, "arbiter", "bob")
+        return ProtocolMessage(PHASE_ABORT, None, meta, tag)
 
     if not wc_check(arbiter.macs["bob"], canonical_meta(y_msg.meta), y_msg.tag):
         return abort("arb_auth_outer")
-    if y_msg.payload is None or y_msg.payload.n != 2 * n + 2 * t:
+    if y_msg.payload is None or y_msg.payload.n != 2 * n + 2 * t or y_msg.meta.get("key_id") != bob_key.key_id:
         return abort("arb_auth_outer")
-    outer = AuthBlock(y_msg.payload, 2 * n + t, t, y_msg.meta["key_id"])
-    ok, inner = qauth_verify(outer, bob_link.auth_key_at(0), arbiter.rng)
+    ok, inner = qauth_verify(AuthBlock(y_msg.payload, 2 * n + t, t, bob_key.key_id), bob_key, arbiter.rng)
     if not ok:
         return abort("arb_auth_outer")
     unpadded = qotp(inner, bob_link.qotp_key_at(0, inner.n), "decrypt")
 
-    alice_meta = y_msg.meta["alice_meta"]
-    alice_tag = MacTag(*y_msg.meta["alice_tag"])
-    if not wc_check(arbiter.macs["alice"], canonical_meta(alice_meta), alice_tag):
+    alice_meta = y_msg.meta.get("alice_meta")
+    alice_tag = _mac_tag(y_msg.meta.get("alice_tag"))
+    if alice_tag is None or not wc_check(arbiter.macs["alice"], canonical_meta(alice_meta), alice_tag):
         return abort("arb_auth_inner")
-    ok, core = qauth_verify(AuthBlock(unpadded, 2 * n, t, alice_meta["key_id"]), alice_link.auth_key_at(0), arbiter.rng)
+    ok, core = qauth_verify(AuthBlock(unpadded, 2 * n, t, alice_key.key_id), alice_key, arbiter.rng)
     if not ok:
         return abort("arb_auth_inner")
 
     unsigned = apply_signing(core, arbiter.sig_ops, inverse=True)
-    if mode == "referee":
+    if arbiter.config.mode == "referee":
         try:
             factor, rest = extract_factor(unsigned, list(range(n)))
             r = 1 if fidelity(factor, rest) >= 1.0 - TOL else 0
@@ -431,7 +426,14 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage, mode: str | None 
     block = qauth_encode(reply_core, bob_link.auth_key_at(1), t)
     meta = {"phase": PHASE_T_REPLY, "r": r, "n": n, "t": t, "key_id": block.key_id}
     tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
-    return ProtocolMessage(PHASE_T_REPLY, block.state, meta, tag, "arbiter", "bob")
+    return ProtocolMessage(PHASE_T_REPLY, block.state, meta, tag)
+
+
+def _mac_tag(raw) -> MacTag | None:
+    """The tag a [value, width, pad_index] list names, or None if malformed."""
+    if not (isinstance(raw, list) and len(raw) == 3 and all(isinstance(v, int) for v in raw) and raw[2] >= 0):
+        return None
+    return MacTag(*raw)
 
 
 def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
@@ -506,7 +508,7 @@ def run_session(config: SessionConfig, adversary_hook=None, parties: SessionPart
     y = bob_wrap(bob, sigma)
     log("bob_wrap", "bob", y.payload, bob.rng.draws)
     y = channel("y", y)
-    reply = arbiter_adjudicate(arbiter, y, config.mode)
+    reply = arbiter_adjudicate(arbiter, y)
     log("arbiter_adjudicate", "arbiter", reply.payload, arbiter.rng.draws)
     reply = channel("t_reply", reply)
     verdict = bob_finalize(bob, reply)

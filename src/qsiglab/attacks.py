@@ -130,9 +130,7 @@ def _session_trials(params, trials, seed, hook_factory=None, doctor=None):
     out = []
     for i in range(trials):
         tseed = derive_seed(seed, "trial", i)
-        cfg = SessionConfig(
-            n=params["n"], t=params["t"], mode=params["mode"], seed=tseed, b=params["b"], adversary=params.get("adversary", "identity")
-        )
+        cfg = SessionConfig(n=params["n"], t=params["t"], mode=params["mode"], seed=tseed, b=params["b"])
         parties = setup(cfg)
         if doctor is not None:
             doctor(parties, cfg, tseed)

@@ -4,8 +4,8 @@ Everything here is information-theoretic given fresh key material; the key
 schedule itself is a deterministic SHA-256 expansion of a master seed so
 that two parties holding the same link seed derive bit-identical material
 without communicating. Derivation paths are disjoint per purpose (``qotp``,
-``auth``, ``mac``, ``sig``) and per index, and consuming calls advance a
-per-purpose counter so material is never silently reused.
+``auth``, ``mac``, ``sig``) and per index; callers name the index they use,
+and one-time MAC pads are guarded against reuse (below).
 
 The MAC is a polynomial-evaluation universal hash over GF(2^b) masked with
 a one-time pad: tag = H_r(message) xor pad[index]. The message is split
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordOp, apply_clifford, identity_clifford, sample_clifford  # noqa: F401
-from .qsim import PureState, _digit_array, basis_state, derive_seed, make_state, new_rng, parity_measure, tensor
+from .clifford import CliffordOp, apply_clifford, sample_clifford
+from .qsim import PureState, basis_state, derive_seed, make_state, new_rng, parity_labels, parity_measure, tensor
 
 MAC_WIDTHS = (16, 32, 64)
 
@@ -43,10 +44,14 @@ class PadReuseError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuthKey:
-    """Seed selecting the trap-scrambling Clifford; None means identity (test hook)."""
+    """Seed selecting the trap-scrambling Clifford."""
 
-    seed: int | None
+    seed: int
     key_id: str
+
+    def __post_init__(self) -> None:
+        if self.seed is None:
+            raise TypeError("an auth key needs an integer seed")
 
 
 @dataclass
@@ -61,7 +66,7 @@ class MacKey:
         if self.width not in MAC_WIDTHS:
             raise ValueError(f"tag width must be one of {MAC_WIDTHS}, got {self.width}")
 
-    @property
+    @cached_property
     def point(self) -> int:
         return derive_seed(self.seed, "mac_point", self.width) & ((1 << self.width) - 1)
 
@@ -71,36 +76,23 @@ class MacKey:
         return derive_seed(self.seed, "mac_pad", self.width, index) & ((1 << self.width) - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkKey:
     """All key material one party shares with one counterpart, seed-derived.
 
-    ``next_*`` methods consume (advance a per-purpose counter); ``*_at``
-    methods are pure lookups so the counterpart can re-derive the same
-    material by index.
+    Every method is a pure lookup, so the counterpart re-derives the same
+    material from the same index.
     """
 
     role: str
     seed: int
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def _next_index(self, purpose: str) -> int:
-        idx = self.counters.get(purpose, 0)
-        self.counters[purpose] = idx + 1
-        return idx
 
     def qotp_key_at(self, index: int, n_regs: int, d: int = 2) -> np.ndarray:
         rng = new_rng(derive_seed(self.seed, "qotp", index))
         return rng.integers(0, d, size=(n_regs, 2))
 
-    def next_qotp_key(self, n_regs: int, d: int = 2) -> np.ndarray:
-        return self.qotp_key_at(self._next_index("qotp"), n_regs, d)
-
     def auth_key_at(self, index: int) -> AuthKey:
         return AuthKey(derive_seed(self.seed, "auth", index), f"{self.role}:auth:{index}")
-
-    def next_auth_key(self) -> AuthKey:
-        return self.auth_key_at(self._next_index("auth"))
 
     def mac_key(self, width: int) -> MacKey:
         return MacKey(width, derive_seed(self.seed, "mac", width))
@@ -113,7 +105,6 @@ class LinkKey:
 class KeyStore:
     """Key links one party holds, one per counterpart role."""
 
-    master_seed: int
     links: dict[str, LinkKey]
 
     def link(self, role: str) -> LinkKey:
@@ -127,7 +118,7 @@ def derive_keys(master_seed: int, roles: list[str]) -> KeyStore:
     if len(set(roles)) != len(roles):
         raise ValueError(f"duplicate roles in {roles}")
     links = {role: LinkKey(role, derive_seed(master_seed, "link", role)) for role in roles}
-    return KeyStore(master_seed, links)
+    return KeyStore(links)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +206,8 @@ def qotp(state: PureState, qotp_key: np.ndarray, direction: str) -> PureState:
 def _phase_layer(amps: np.ndarray, d: int, n: int, phases: np.ndarray) -> np.ndarray:
     if not phases.any():
         return amps
-    expo = np.zeros(d**n, dtype=np.int64)
-    for q in range(n):
-        if phases[q]:
-            expo += int(phases[q]) * _digit_array(d, n, q)
-    return amps * np.exp(2j * np.pi * (expo % d) / d)
+    expo = parity_labels(d, n, phases, range(n))
+    return amps * np.exp(2j * np.pi * expo / d)
 
 
 def _shift_layer(amps: np.ndarray, d: int, n: int, shifts: np.ndarray) -> np.ndarray:
@@ -246,8 +234,6 @@ class AuthBlock:
 
 
 def _auth_clifford(auth_key: AuthKey, m: int) -> CliffordOp:
-    if auth_key.seed is None:
-        return identity_clifford(m)
     return sample_clifford(m, new_rng(auth_key.seed))
 
 

@@ -286,10 +286,6 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
     return synthesize(sample_tableau(m, rng))
 
 
-def identity_clifford(m: int) -> CliffordOp:
-    return CliffordOp(m, ())
-
-
 # ---------------------------------------------------------------------------
 # fast in-place application
 

@@ -14,7 +14,6 @@ All arithmetic is mod d with d prime; inverses via pow(a, -1, d).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +96,12 @@ def mod_nullspace(mat: np.ndarray, d: int) -> np.ndarray:
 class FunctionalMatrix:
     """2k linear functionals on Z_d^k: row i computes coordinate y_i(x).
 
-    Row 0 is the unit vector e_0, so y_0 = x_0 always. ``betas`` records the
-    Vandermonde evaluation points when the matrix was generated from them
-    (None for hand-built matrices in tests).
+    Row 0 is the unit vector e_0, so y_0 = x_0 always.
     """
 
     d: int
     k: int
     rows: np.ndarray
-    betas: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not is_prime(self.d):
@@ -135,25 +131,6 @@ class TableBijection:
     m: int
     forward_table: np.ndarray
     inverse_table: np.ndarray
-
-    def _digits(self, idx: int) -> tuple[int, ...]:
-        out = [0] * self.m
-        for q in range(self.m - 1, -1, -1):
-            out[q] = idx % self.d
-            idx //= self.d
-        return tuple(out)
-
-    def _index(self, labels: tuple[int, ...]) -> int:
-        idx = 0
-        for v in labels:
-            idx = idx * self.d + int(v) % self.d
-        return idx
-
-    def apply(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return self._digits(int(self.forward_table[self._index(labels)]))
-
-    def invert(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return self._digits(int(self.inverse_table[self._index(labels)]))
 
 
 @dataclass(frozen=True)
@@ -215,7 +192,7 @@ def gen_functionals(d: int, k: int, betas) -> FunctionalMatrix:
     rows = np.empty((2 * k, k), dtype=np.int64)
     for i, b in enumerate(betas):
         rows[i] = [pow(b, e, d) for e in range(k)]
-    return FunctionalMatrix(d, k, rows, betas=tuple(betas))
+    return FunctionalMatrix(d, k, rows)
 
 
 def check_mds(fm: FunctionalMatrix) -> bool:
@@ -272,21 +249,3 @@ def parity_constraints(fm: FunctionalMatrix) -> ParityConstraintSet:
         raise ValueError(f"internal fault: expected {fm.k - 1} constraints, got {basis.shape[0]}")
     return ParityConstraintSet(fm.d, basis)
 
-
-# ---------------------------------------------------------------------------
-# key-material serialization
-
-
-def key_json(fm: FunctionalMatrix, in_subset) -> str:
-    """Serialize generating data as JSON {d, k, betas, in_subset}."""
-    if fm.betas is None:
-        raise ValueError("only generated (Vandermonde) matrices serialize")
-    return json.dumps(
-        {"d": fm.d, "k": fm.k, "betas": list(fm.betas), "in_subset": sorted(int(i) for i in in_subset)}
-    )
-
-
-def key_from_json(text: str) -> tuple[FunctionalMatrix, tuple[int, ...]]:
-    obj = json.loads(text)
-    fm = gen_functionals(int(obj["d"]), int(obj["k"]), obj["betas"])
-    return fm, tuple(int(i) for i in obj["in_subset"])

@@ -15,9 +15,8 @@ States are immutable values: operations return new ``PureState`` objects.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,26 +116,6 @@ class MeasurementRecord:
     post_state: PureState
 
 
-@dataclass(frozen=True)
-class LabelBijection:
-    """A bijection on Z_d^m given as a forward/inverse callable pair.
-
-    Anything with ``apply``/``invert`` methods on digit tuples works where a
-    bijection is expected; this is the plain-callable packaging of one.
-    """
-
-    d: int
-    m: int
-    forward: Callable[[tuple[int, ...]], tuple[int, ...]]
-    backward: Callable[[tuple[int, ...]], tuple[int, ...]]
-
-    def apply(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return self.forward(labels)
-
-    def invert(self, labels: tuple[int, ...]) -> tuple[int, ...]:
-        return self.backward(labels)
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -183,10 +162,15 @@ def decode_labels(idx: int, m: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digit_array(d: int, n: int, q: int) -> np.ndarray:
-    """Value of register q for every flat index 0..d^n-1."""
+def parity_labels(d: int, n: int, coeffs: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """sum(coeffs[i] * label(targets[i])) mod d for every flat index 0..d^n-1."""
     idx = np.arange(d**n)
-    return (idx // d ** (n - 1 - q)) % d
+    parity = np.zeros(d**n, dtype=np.int64)
+    for c, q in zip(coeffs, targets):
+        c = int(c) % d
+        if c:
+            parity += c * (idx // d ** (n - 1 - q) % d)
+    return parity % d
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +197,17 @@ def apply_gate(state: PureState, gate: GateMatrix, targets: Sequence[int]) -> Pu
 def apply_classical_bijection(state: PureState, f, targets: Sequence[int]) -> PureState:
     """Move the amplitude of basis label v on the targets to label f(v).
 
-    ``f`` must expose ``apply(labels) -> labels`` and ``invert(labels) ->
-    labels`` on m-digit tuples (m = number of targets). If it additionally
-    carries precomputed ``forward_table``/``inverse_table`` index arrays
-    (big-endian flat encoding) those are used directly. Bijectivity is
-    checked on every call; the permutation is never materialized as a
-    d^m x d^m matrix.
+    ``f`` carries ``forward_table`` and ``inverse_table``: index arrays of
+    length d^m (m = number of targets) over the big-endian flat encoding of
+    the target labels. Bijectivity is checked on every call; the permutation
+    is never materialized as a d^m x d^m matrix.
     """
     targets = list(targets)
     _check_targets(state, targets)
     d, n, m = state.d, state.n, len(targets)
     dm = d**m
-    fwd = getattr(f, "forward_table", None)
-    inv = getattr(f, "inverse_table", None)
-    if fwd is None or inv is None:
-        fwd = np.empty(dm, dtype=np.int64)
-        inv = np.empty(dm, dtype=np.int64)
-        for idx in range(dm):
-            labels = decode_labels(idx, m, d)
-            fwd[idx] = encode_labels(f.apply(labels), d)
-            inv[idx] = encode_labels(f.invert(labels), d)
-    else:
-        fwd = np.asarray(fwd, dtype=np.int64)
-        inv = np.asarray(inv, dtype=np.int64)
+    fwd = np.asarray(f.forward_table, dtype=np.int64)
+    inv = np.asarray(f.inverse_table, dtype=np.int64)
     order = np.arange(dm)
     if not (np.array_equal(fwd[inv], order) and np.array_equal(inv[fwd], order)):
         raise ValueError("supplied map is not a bijection (forward/inverse mismatch)")
@@ -282,16 +254,18 @@ def _check_blocks(state: PureState, regs_a: Sequence[int], regs_b: Sequence[int]
     _check_targets(state, both)
 
 
-def exchange_accept_probability(state: PureState, regs_a: Sequence[int], regs_b: Sequence[int]) -> float:
-    """Accept probability (1 + <S>)/2 of the exchange measurement, no sampling."""
-    _check_blocks(state, regs_a, regs_b)
-    overlap = np.vdot(state.amps, _exchange_swapped(state, regs_a, regs_b)).real
-    return float(min(max((1.0 + overlap) / 2.0, 0.0), 1.0))
-
-
-def _exchange_measure(
+def symmetric_subspace_measure(
     state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], rng: np.random.Generator
 ) -> MeasurementRecord:
+    """Projective measurement onto the exchange-symmetric subspace of two blocks.
+
+    Outcome 0 (accept) occurs with probability (1 + <S>)/2, which is
+    (1 + F)/2 when the blocks hold unentangled pure factors with squared
+    overlap F: the statistics of the swap test. The post-state is the
+    renormalized projection onto the symmetric (accept) or antisymmetric
+    (reject) exchange subspace, so a state of the form psi (x) psi on the
+    two blocks accepts with probability 1 and is returned unchanged.
+    """
     _check_blocks(state, regs_a, regs_b)
     swapped = _exchange_swapped(state, regs_a, regs_b)
     overlap = np.vdot(state.amps, swapped).real
@@ -312,35 +286,6 @@ def _exchange_measure(
     return MeasurementRecord(1, 1.0 - p_acc, post)
 
 
-def swap_test(
-    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], rng: np.random.Generator
-) -> MeasurementRecord:
-    """Exchange-symmetry equality test between two register blocks.
-
-    Outcome 0 (accept) occurs with probability (1 + <S>)/2, which is
-    (1 + F)/2 when the blocks hold unentangled pure factors with squared
-    overlap F. The post-state is the renormalized projection onto the
-    symmetric (accept) or antisymmetric (reject) exchange subspace, exactly
-    the back-action of the ancilla-coupled swap-test circuit after the
-    ancilla is read out.
-    """
-    return _exchange_measure(state, regs_a, regs_b, rng)
-
-
-def symmetric_subspace_measure(
-    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], rng: np.random.Generator
-) -> MeasurementRecord:
-    """Projective measurement onto the exchange-symmetric subspace.
-
-    Identical statistics and post-states to swap_test (both measure the same
-    exchange operator); kept as a separate name because callers use it as a
-    direct nondestructive projector, not as an equality test. A state of the
-    form psi (x) psi on the two blocks accepts with probability 1 and is
-    returned unchanged.
-    """
-    return _exchange_measure(state, regs_a, regs_b, rng)
-
-
 def parity_measure(
     state: PureState, coeffs: Sequence[int], targets: Sequence[int], rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -355,10 +300,7 @@ def parity_measure(
     if len(coeffs) != len(targets):
         raise ValueError(f"{len(coeffs)} coefficients for {len(targets)} targets")
     d, n = state.d, state.n
-    parity = np.zeros(state.dim, dtype=np.int64)
-    for c, q in zip(coeffs, targets):
-        parity += int(c) % d * _digit_array(d, n, q)
-    parity %= d
+    parity = parity_labels(d, n, coeffs, targets)
     weights = np.bincount(parity, weights=np.abs(state.amps) ** 2, minlength=d)
     probs = weights / weights.sum()
     outcome = int(rng.choice(d, p=probs))
@@ -488,7 +430,7 @@ def controlled_add_gate(d: int) -> GateMatrix:
 
 
 # ---------------------------------------------------------------------------
-# debug dump format and digests
+# digests
 
 
 def state_digest(state: PureState) -> str:
@@ -498,14 +440,3 @@ def state_digest(state: PureState) -> str:
     h.update(state.amps.tobytes())
     return h.hexdigest()
 
-
-def dump_state(state: PureState) -> str:
-    """JSON debug dump: {d, n, amps: [[re, im], ...]}."""
-    pairs = [[float(a.real), float(a.imag)] for a in state.amps]
-    return json.dumps({"d": state.d, "n": state.n, "amps": pairs})
-
-
-def load_state(text: str) -> PureState:
-    obj = json.loads(text)
-    amps = np.array([complex(re, im) for re, im in obj["amps"]])
-    return PureState(int(obj["d"]), int(obj["n"]), amps)

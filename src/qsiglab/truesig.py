@@ -20,7 +20,6 @@ scheme's security therefore cannot rest on the signed state itself.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +36,14 @@ from .qsim import (
     TOL,
     EntangledFactorError,
     PureState,
-    _digit_array,
     apply_classical_bijection,
     apply_gate,
-    dump_state,
     extract_factor,
     fidelity,
     fourier_gate,
-    load_state,
     make_state,
     new_rng,
+    parity_labels,
     parity_measure,
     reduced_density,
     symmetric_subspace_measure,
@@ -213,10 +210,8 @@ def verify(
             cur = rec.post_state
             syndrome.append(rec.outcome)
         else:
-            parity = np.zeros(cur.dim, dtype=np.int64)
-            for coeff, q in zip(c, regs):
-                parity += int(coeff) % d * _digit_array(d, 2 * k - 1, q)
-            weights = np.bincount(parity % d, weights=np.abs(cur.amps) ** 2, minlength=d)
+            parity = parity_labels(d, 2 * k - 1, c, regs)
+            weights = np.bincount(parity, weights=np.abs(cur.amps) ** 2, minlength=d)
             dominant = int(np.argmax(weights))
             syndrome.append(0 if dominant == 0 and weights[0] >= 1.0 - TOL else (dominant or 1))
         if syndrome[-1] != 0:
@@ -306,29 +301,3 @@ def forge(
     s_new = apply_classical_bijection(replaced, vk.decode.inverted(), list(range(k)))
     return SignedBundle(d, k, s_new, bundle.omega_pair, psi_prime_copy)
 
-
-# ---------------------------------------------------------------------------
-# bundle serialization
-
-
-def dump_bundle(bundle: SignedBundle) -> str:
-    return json.dumps(
-        {
-            "d": bundle.d,
-            "k": bundle.k,
-            "s_state": dump_state(bundle.s_state),
-            "omega_pair": dump_state(bundle.omega_pair),
-            "p_copy": dump_state(bundle.p_copy),
-        }
-    )
-
-
-def load_bundle(text: str) -> SignedBundle:
-    obj = json.loads(text)
-    return SignedBundle(
-        int(obj["d"]),
-        int(obj["k"]),
-        load_state(obj["s_state"]),
-        load_state(obj["omega_pair"]),
-        load_state(obj["p_copy"]),
-    )

@@ -214,12 +214,13 @@ def test_message_shape_enforced():
 
 
 def test_mode_override_in_adjudication():
-    cfg = SessionConfig(seed=110, mode="referee")
+    # the session config's mode is the arbiter's only source of its regime
+    cfg = SessionConfig(seed=110, mode="protocol")
     parties = setup(cfg)
     psi = sample_random_pure(2, cfg.n, new_rng(3))
     sigma = alice_sign(parties.alice, psi, psi)
     y = bob_wrap(parties.bob, sigma)
-    reply = arbiter_adjudicate(parties.arbiter, y, mode="protocol")
+    reply = arbiter_adjudicate(parties.arbiter, y)
     assert reply.phase == PHASE_T_REPLY
     assert reply.meta["r"] == 1
 
@@ -306,9 +307,39 @@ def test_unknown_abort_stage_collapses_to_abort():
     parties = setup(cfg)
     meta = {"phase": PHASE_ABORT, "failure_stage": "bogus_stage"}
     tag = wc_tag(parties.arbiter.macs["bob"], canonical_meta(meta), 1)
-    verdict = bob_finalize(parties.bob, ProtocolMessage(PHASE_ABORT, None, meta, tag, "arbiter", "bob"))
+    verdict = bob_finalize(parties.bob, ProtocolMessage(PHASE_ABORT, None, meta, tag))
     assert verdict.failure_stage == "abort"
     assert not verdict.accepted
+
+
+def _drop_key_id(meta):
+    return {k: v for k, v in meta.items() if k != "key_id"}
+
+
+@pytest.mark.parametrize(
+    "rewrite, stage",
+    [
+        (lambda meta: {**meta, "alice_tag": [*meta["alice_tag"][:2], -1]}, "arb_auth_inner"),
+        (lambda meta: {**meta, "alice_tag": meta["alice_tag"][:2]}, "arb_auth_inner"),
+        (lambda meta: {**meta, "alice_tag": "not a tag"}, "arb_auth_inner"),
+        (_drop_key_id, "arb_auth_outer"),
+    ],
+    ids=["negative_pad_index", "two_element_tag", "non_list_tag", "missing_key_id"],
+)
+def test_bob_malformed_metadata_aborts(rewrite, stage):
+    # a dishonest bob MACs malformed Y metadata under his own key: the arbiter
+    # must answer with a MAC'd ABORT, never raise
+    cfg = SessionConfig(seed=132)
+    parties = setup(cfg)
+    psi = sample_random_pure(2, cfg.n, new_rng(4))
+    y = bob_wrap(parties.bob, alice_sign(parties.alice, psi, psi))
+    meta = rewrite(y.meta)
+    forged = ProtocolMessage(PHASE_Y, y.payload, meta, wc_tag(parties.bob.macs["bob"], canonical_meta(meta), 1))
+    reply = arbiter_adjudicate(parties.arbiter, forged)
+    assert reply.phase == PHASE_ABORT
+    assert reply.meta["failure_stage"] == stage
+    assert stage in FAILURE_STAGES
+    assert bob_finalize(parties.bob, reply).failure_stage == stage
 
 
 def test_wrong_shape_reply_is_bob_auth():

@@ -21,7 +21,7 @@ from qsiglab.authcrypto import (
     wc_check,
     wc_tag,
 )
-from qsiglab.clifford import pauli_from_bits
+from qsiglab.clifford import apply_clifford, pauli_from_bits, sample_clifford
 from qsiglab.qsim import (
     GateMatrix,
     apply_gate,
@@ -58,14 +58,13 @@ def test_duplicate_roles_rejected():
         derive_keys(1, ["alice", "alice"])
 
 
-def test_counters_advance_and_match_indexed_lookups():
+def test_indexed_lookups_are_stable_and_distinct():
     link = derive_keys(3, ["a"]).link("a")
-    k0 = link.next_auth_key()
-    k1 = link.next_auth_key()
+    k0, k1 = link.auth_key_at(0), link.auth_key_at(1)
     assert k0 == link.auth_key_at(0)
-    assert k1 == link.auth_key_at(1)
     assert k0.seed != k1.seed
-    q0 = link.next_qotp_key(4)
+    assert k0.key_id == "a:auth:0"
+    q0 = link.qotp_key_at(0, 4)
     assert np.array_equal(q0, link.qotp_key_at(0, 4))
     assert not np.array_equal(q0, link.qotp_key_at(1, 4))
 
@@ -74,7 +73,7 @@ def test_counterpart_rederives_same_material():
     # the same (role, seed) pair on the other side of the link sees identical keys
     left = derive_keys(11, ["peer"]).link("peer")
     right = derive_keys(11, ["peer"]).link("peer")
-    assert np.array_equal(left.next_qotp_key(3), right.qotp_key_at(0, 3))
+    assert np.array_equal(left.qotp_key_at(0, 3), right.qotp_key_at(0, 3))
     assert left.mac_key(16).point == right.mac_key(16).point
     assert left.sig_seed() == right.sig_seed()
 
@@ -295,22 +294,34 @@ def test_qauth_round_trip():
     assert fidelity(recovered, payload) > 1 - 1e-9
 
 
-def test_identity_hook_exposes_layout():
+def _scrambler(key: AuthKey, m: int):
+    """The keyed Clifford qauth_encode applies to an m-register block."""
+    return sample_clifford(m, new_rng(key.seed))
+
+
+def test_unscrambled_block_exposes_layout():
     payload = sample_random_pure(2, 2, new_rng(21))
-    block = qauth_encode(payload, AuthKey(None, "hook"), t=3)
+    key = AuthKey(2121, "layout")
+    block = qauth_encode(payload, key, t=3)
+    unscrambled = apply_clifford(block.state, _scrambler(key, 5).inverse())
     expected = tensor(payload, basis_state(2, 3, [0, 0, 0]))
-    assert np.abs(block.state.amps - expected.amps).max() < 1e-12
+    assert np.abs(unscrambled.amps - expected.amps).max() < 1e-12
 
 
 def test_rejected_block_still_returns_payload():
     rng = new_rng(22)
     payload = sample_random_pure(2, 2, rng)
-    block = qauth_encode(payload, AuthKey(None, "hook"), t=2)
-    x = GateMatrix(2, 1, np.array([[0, 1], [1, 0]], dtype=np.complex128))
-    tampered = AuthBlock(apply_gate(block.state, x, [3]), 2, 2, "hook")
-    accept, recovered = qauth_verify(tampered, AuthKey(None, "hook"), rng)
+    key = AuthKey(2222, "tamper")
+    # a block whose second trap reads 1 once the key's Clifford is undone
+    flipped = apply_clifford(tensor(payload, basis_state(2, 2, [0, 1])), _scrambler(key, 4))
+    accept, recovered = qauth_verify(AuthBlock(flipped, 2, 2, key.key_id), key, rng)
     assert not accept
     assert fidelity(recovered, payload) > 1 - 1e-9
+
+
+def test_auth_key_needs_a_seed():
+    with pytest.raises(TypeError):
+        AuthKey(None, "unseeded")
 
 
 def test_trap_count_zero_warns():

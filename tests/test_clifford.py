@@ -9,7 +9,6 @@ from qsiglab.clifford import (
     MATRIX_CAP,
     Tableau,
     apply_clifford,
-    identity_clifford,
     is_symplectic,
     pauli_from_bits,
     random_symplectic,
@@ -160,9 +159,9 @@ def test_inverse_round_trip(m):
     assert fidelity(back, st) > 1 - 1e-12
 
 
-def test_identity_clifford_is_noop():
+def test_empty_clifford_is_noop():
     st = sample_random_pure(2, 3, new_rng(40))
-    out = apply_clifford(st, identity_clifford(3))
+    out = apply_clifford(st, CliffordOp(3, ()))
     assert np.allclose(out.amps, st.amps)
 
 
@@ -194,7 +193,7 @@ def test_gate_vocabulary_against_dense_embeddings():
 
 
 def test_unitary_cap():
-    op = identity_clifford(MATRIX_CAP + 1)
+    op = CliffordOp(MATRIX_CAP + 1, ())
     with pytest.raises(ValueError):
         op.unitary()
 

@@ -12,14 +12,13 @@ from qsiglab.fieldcode import (
     decode_bijection,
     gen_functionals,
     is_prime,
-    key_from_json,
-    key_json,
     mod_inv_matrix,
     mod_nullspace,
     mod_rank,
     mod_rref,
     parity_constraints,
 )
+from qsiglab.qsim import decode_labels, encode_labels
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_mod_nullspace_annihilates():
 def test_gen_functionals_worked_example():
     fm = gen_functionals(5, 2, [0, 1, 2, 3])
     assert np.array_equal(fm.rows, np.array([[1, 0], [1, 1], [1, 2], [1, 3]]))
-    assert fm.betas == (0, 1, 2, 3)
+    assert tuple(fm.rows[:, 1]) == (0, 1, 2, 3)  # row i evaluates at beta_i
 
 
 def test_gen_functionals_validation():
@@ -115,12 +114,17 @@ def test_check_mds_generated_grids(d, k):
 # decode bijection
 
 
+def _image(table, labels, d):
+    """Label tuple that an index table sends the given label tuple to."""
+    return decode_labels(int(table[encode_labels(labels, d)]), len(labels), d)
+
+
 def test_decode_bijection_worked_example():
     fm = gen_functionals(5, 2, [0, 1, 2, 3])
     db = decode_bijection(fm, in_subset=(1, 2))
     # y_1 = 3, y_2 = 4 solves to x = (2, 1); y_3 = 2 + 3 = 0; output (x_0, y_3)
-    assert db.apply((3, 4)) == (2, 0)
-    assert db.invert((2, 0)) == (3, 4)
+    assert _image(db.forward_table, (3, 4), 5) == (2, 0)
+    assert _image(db.inverse_table, (2, 0), 5) == (3, 4)
     assert db.in_subset == (1, 2) and db.out_indices == (3,)
     assert db.k == 2
 
@@ -153,7 +157,7 @@ def test_decode_consistency_with_evaluate():
     for x0 in range(7):
         for x1 in range(7):
             y = fm.evaluate(np.array([x0, x1]))
-            out = db.apply((int(y[1]), int(y[3])))
+            out = _image(db.forward_table, (int(y[1]), int(y[3])), 7)
             assert out[0] == x0
             assert out[1] == int(y[2])  # the one complement coordinate
 
@@ -162,8 +166,8 @@ def test_inverted_swaps_directions():
     fm = gen_functionals(5, 2, [0, 1, 2, 3])
     db = decode_bijection(fm, (1, 2))
     inv = db.inverted()
-    assert inv.apply((2, 0)) == (3, 4)
-    assert inv.invert((3, 4)) == (2, 0)
+    assert _image(inv.forward_table, (2, 0), 5) == (3, 4)
+    assert _image(inv.inverse_table, (3, 4), 5) == (2, 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,7 +180,7 @@ def test_decode_round_trip_random_subsets(dk, seed):
     subset = tuple(sorted(rng.permutation(np.arange(1, 2 * k))[:k]))
     db = decode_bijection(fm, subset)
     labels = tuple(int(v) for v in rng.integers(0, d, size=k))
-    assert db.invert(db.apply(labels)) == labels
+    assert _image(db.inverse_table, _image(db.forward_table, labels, d), d) == labels
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +208,6 @@ def test_parity_constraints_independent():
     fm = gen_functionals(11, 3, [0, 1, 2, 3, 4, 5])
     cs = parity_constraints(fm)
     assert mod_rank(cs.vectors, 11) == 2
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_key_json_round_trip():
-    fm = gen_functionals(7, 2, [0, 3, 5, 6])
-    text = key_json(fm, (1, 2))
-    fm2, subset = key_from_json(text)
-    assert np.array_equal(fm2.rows, fm.rows)
-    assert fm2.betas == fm.betas
-    assert subset == (1, 2)
-
-
-def test_key_json_requires_generated_matrix():
-    rows = gen_functionals(5, 2, [0, 1, 2, 3]).rows
-    hand_built = FunctionalMatrix(5, 2, rows)
-    with pytest.raises(ValueError):
-        key_json(hand_built, (1, 2))
 
 
 def test_exhaustive_mds_equivalence_small():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsiglab.fieldcode import TableBijection
 from qsiglab.qsim import (
     EntangledFactorError,
     GateMatrix,
-    LabelBijection,
     MAX_AMPS,
     PureState,
     apply_classical_bijection,
@@ -17,17 +17,15 @@ from qsiglab.qsim import (
     controlled_add_gate,
     decode_labels,
     derive_seed,
-    dump_state,
     encode_labels,
-    exchange_accept_probability,
     extract_factor,
     fidelity,
     fourier_gate,
     hadamard_gate,
     identity_gate,
-    load_state,
     make_state,
     new_rng,
+    parity_labels,
     parity_measure,
     pauli_gate,
     permute_registers,
@@ -36,7 +34,6 @@ from qsiglab.qsim import (
     sample_random_pure,
     shift_gate,
     state_digest,
-    swap_test,
     symmetric_subspace_measure,
     tensor,
 )
@@ -171,14 +168,22 @@ def test_two_register_gate_order_convention():
 # classical bijections
 
 
+def _tables(d, m, f):
+    """Forward/inverse index tables of a map f on m-digit label tuples."""
+    fwd = np.array([encode_labels(f(decode_labels(i, m, d)), d) for i in range(d**m)])
+    inv = np.empty_like(fwd)
+    inv[fwd] = np.arange(d**m)
+    return TableBijection(d, m, fwd, inv)
+
+
 def test_classical_bijection_moves_labels_forward():
-    f = LabelBijection(2, 1, lambda v: ((v[0] + 1) % 2,), lambda v: ((v[0] + 1) % 2,))
+    f = _tables(2, 1, lambda v: ((v[0] + 1) % 2,))
     out = apply_classical_bijection(basis_state(2, 2, [0, 1]), f, [0])
     assert np.allclose(out.amps, basis_state(2, 2, [1, 1]).amps)
 
 
 def test_classical_bijection_rejects_noninverse_pair():
-    broken = LabelBijection(2, 1, lambda v: ((v[0] + 1) % 2,), lambda v: (v[0],))
+    broken = TableBijection(2, 1, np.array([1, 0]), np.array([0, 1]))
     with pytest.raises(ValueError):
         apply_classical_bijection(basis_state(2, 1, [0]), broken, [0])
 
@@ -186,10 +191,11 @@ def test_classical_bijection_rejects_noninverse_pair():
 def test_classical_bijection_preserves_superposition_weights():
     rng = new_rng(3)
     st_ = sample_random_pure(3, 2, rng)
-    f = LabelBijection(3, 2, lambda v: ((v[1] + 1) % 3, v[0]), lambda v: (v[1], (v[0] - 1) % 3))
+    f = _tables(3, 2, lambda v: ((v[1] + 1) % 3, v[0]))
     out = apply_classical_bijection(st_, f, [0, 1])
     assert np.allclose(np.sort(np.abs(out.amps)), np.sort(np.abs(st_.amps)))
-    back = apply_classical_bijection(out, LabelBijection(3, 2, f.backward, f.forward), [0, 1])
+    assert np.allclose(out.amps[f.forward_table], st_.amps)  # label v moved to f(v)
+    back = apply_classical_bijection(out, TableBijection(3, 2, f.inverse_table, f.forward_table), [0, 1])
     assert fidelity(back, st_) > 1 - 1e-12
 
 
@@ -197,24 +203,26 @@ def test_classical_bijection_preserves_superposition_weights():
 # measurements
 
 
-def test_swap_test_accept_probability_matches_overlap():
+def test_symmetric_measure_accept_probability_matches_overlap():
     psi = make_state(2, 1, [1, 0])
     phi = make_state(2, 1, [np.sqrt(0.3), np.sqrt(0.7)])
     joint = tensor(psi, phi)
-    p = exchange_accept_probability(joint, [0], [1])
-    assert abs(p - (1 + 0.3) / 2) < 1e-12
+    for seed in range(8):
+        rec = symmetric_subspace_measure(joint, [0], [1], new_rng(seed))
+        p_accept = rec.probability if rec.outcome == 0 else 1.0 - rec.probability
+        assert abs(p_accept - (1 + 0.3) / 2) < 1e-12
 
 
-def test_swap_test_identical_blocks_accept_and_unchanged():
+def test_symmetric_measure_identical_blocks_accept_and_unchanged():
     rng = new_rng(11)
     psi = sample_random_pure(2, 2, rng)
     joint = tensor(psi, psi)
-    rec = swap_test(joint, [0, 1], [2, 3], rng)
+    rec = symmetric_subspace_measure(joint, [0, 1], [2, 3], rng)
     assert rec.outcome == 0 and abs(rec.probability - 1.0) < 1e-12
     assert rec.post_state is joint  # exactly symmetric: returned untouched
 
 
-def test_swap_test_statistics_and_post_states():
+def test_symmetric_measure_statistics_and_post_states():
     rng = new_rng(5)
     psi = make_state(2, 1, [1, 0])
     phi = make_state(2, 1, [0, 1])  # orthogonal: accept prob 1/2
@@ -228,6 +236,17 @@ def test_swap_test_statistics_and_post_states():
         target = sym if rec.outcome == 0 else anti
         assert abs(abs(np.vdot(rec.post_state.amps, target)) - 1.0) < 1e-12
     assert 130 < seen[0] < 270  # ~Bin(400, 1/2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+def test_parity_labels_match_digit_sums(d, n, data):
+    targets = data.draw(st.permutations(range(n)))
+    coeffs = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n, max_size=n))
+    labels = parity_labels(d, n, coeffs, targets)
+    for idx in range(d**n):
+        digits = decode_labels(idx, n, d)
+        assert labels[idx] == sum(c * digits[q] for c, q in zip(coeffs, targets)) % d
 
 
 def test_parity_measure_sector_and_post_state():
@@ -336,15 +355,7 @@ def test_extract_factor_phase_bookkeeping():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_dump_load_round_trip():
-    rng = new_rng(8)
-    st_ = sample_random_pure(3, 2, rng)
-    back = load_state(dump_state(st_))
-    assert back.d == 3 and back.n == 2
-    assert np.allclose(back.amps, st_.amps)
+# digests
 
 
 def test_state_digest_distinguishes_and_repeats():

@@ -1,0 +1,30 @@
+"""Smoke runs of the calibration and table scripts at tiny sizes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("calibrate_auth_detection.py", ["--trials", "30", "--traps", "2"]),
+        ("calibrate_noncommutativity.py", ["--keys", "4", "--max-n", "2"]),
+        ("run_all_scenarios.py", ["--trials", "3"]),
+    ],
+)
+def test_script_runs(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
