@@ -174,6 +174,21 @@ def canonical_meta(meta: dict) -> bytes:
     return _canon_json(meta).encode("utf-8")
 
 
+def _meta_bytes(meta) -> bytes | None:
+    """canonical_meta, or None for metadata JSON cannot encode."""
+    try:
+        return canonical_meta(meta)
+    except (TypeError, ValueError):
+        return None
+
+
+def _authentic(key: MacKey, meta, tag) -> bool:
+    """MAC check that fails, rather than raises, on a tag or metadata a
+    channel adversary replaced with something no party would send."""
+    message = _meta_bytes(meta)
+    return isinstance(tag, MacTag) and message is not None and wc_check(key, message, tag)
+
+
 # ---------------------------------------------------------------------------
 # the keyed signing unitary
 
@@ -347,7 +362,9 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
     """Y: one-time pad alice's block, re-authenticate under bob's key, forward.
 
     Bob cannot check anything yet; he binds what he saw (alice's metadata and
-    tag travel inside his own MAC'd metadata) and sends it to the arbiter.
+    tag travel inside his own MAC'd metadata) and sends it to the arbiter. A
+    tag that is no MAC tag, or metadata JSON cannot encode, travels as None,
+    which the arbiter rejects at arb_auth_inner.
     """
     if sigma_msg.phase != PHASE_SIGMA:
         raise ProtocolError(f"bob_wrap expects a SIGMA message, got {sigma_msg.phase}")
@@ -362,8 +379,8 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
         "n": bob.config.n,
         "t": t,
         "key_id": block.key_id,
-        "alice_meta": sigma_msg.meta,
-        "alice_tag": [sigma_msg.tag.value, sigma_msg.tag.width, sigma_msg.tag.pad_index],
+        "alice_meta": sigma_msg.meta if _meta_bytes(sigma_msg.meta) is not None else None,
+        "alice_tag": _tag_fields(sigma_msg.tag),
     }
     tag = wc_tag(bob.macs["bob"], canonical_meta(meta), 0)
     return ProtocolMessage(PHASE_Y, block.state, meta, tag)
@@ -391,7 +408,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
         tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
         return ProtocolMessage(PHASE_ABORT, None, meta, tag)
 
-    if not wc_check(arbiter.macs["bob"], canonical_meta(y_msg.meta), y_msg.tag):
+    if not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag):
         return abort("arb_auth_outer")
     if y_msg.payload is None or y_msg.payload.n != 2 * n + 2 * t or y_msg.meta.get("key_id") != bob_key.key_id:
         return abort("arb_auth_outer")
@@ -402,7 +419,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
 
     alice_meta = y_msg.meta.get("alice_meta")
     alice_tag = _mac_tag(y_msg.meta.get("alice_tag"))
-    if alice_tag is None or not wc_check(arbiter.macs["alice"], canonical_meta(alice_meta), alice_tag):
+    if not _authentic(arbiter.macs["alice"], alice_meta, alice_tag):
         return abort("arb_auth_inner")
     ok, core = qauth_verify(AuthBlock(unpadded, 2 * n, t, alice_key.key_id), alice_key, arbiter.rng)
     if not ok:
@@ -429,6 +446,10 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     return ProtocolMessage(PHASE_T_REPLY, block.state, meta, tag)
 
 
+def _tag_fields(tag) -> list[int] | None:
+    return [tag.value, tag.width, tag.pad_index] if isinstance(tag, MacTag) else None
+
+
 def _mac_tag(raw) -> MacTag | None:
     """The tag a [value, width, pad_index] list names, or None if malformed."""
     if not (isinstance(raw, list) and len(raw) == 3 and all(isinstance(v, int) for v in raw) and raw[2] >= 0):
@@ -440,14 +461,14 @@ def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
     """Bob's verdict: check the arbiter's MAC and traps, then read r."""
     n, t = bob.config.n, bob.config.t
     if t_msg.phase == PHASE_ABORT:
-        ok = wc_check(bob.macs["bob"], canonical_meta(t_msg.meta), t_msg.tag)
+        ok = _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag)
         stage = t_msg.meta.get("failure_stage", "abort") if ok else "abort"
         if stage not in FAILURE_STAGES:
             stage = "abort"
         return VerdictRecord(0, False, stage, None, None)
     if t_msg.phase != PHASE_T_REPLY:
         raise ProtocolError(f"bob_finalize expects T_REPLY or ABORT, got {t_msg.phase}")
-    if not wc_check(bob.macs["bob"], canonical_meta(t_msg.meta), t_msg.tag):
+    if not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
         return VerdictRecord(0, False, "bob_auth", None, None)
     if t_msg.payload is None or t_msg.payload.n != 2 * n + t:
         return VerdictRecord(0, False, "bob_auth", None, None)

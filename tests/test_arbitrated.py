@@ -342,6 +342,27 @@ def test_bob_malformed_metadata_aborts(rewrite, stage):
     assert bob_finalize(parties.bob, reply).failure_stage == stage
 
 
+@pytest.mark.parametrize(
+    "position, stage",
+    [("sigma", "arb_auth_inner"), ("y", "arb_auth_outer"), ("t_reply", "bob_auth")],
+)
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda msg: dataclasses.replace(msg, tag=None),
+        lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
+    ],
+    ids=["tag_none", "meta_set"],
+)
+def test_channel_garbage_ends_in_a_verdict(position, stage, mutate):
+    # a keyless channel adversary swaps the tag for None or adds a value JSON
+    # cannot encode: the receiving party rejects, never raises
+    tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, mutate))
+    assert not tr.verdict.accepted
+    assert tr.verdict.failure_stage == stage
+    assert stage in FAILURE_STAGES
+
+
 def test_wrong_shape_reply_is_bob_auth():
     def hook(pos, msg):
         if pos == "t_reply":
