@@ -224,6 +224,7 @@ def verify(
     omega = canonical_omega(d)
     if mode == "protocol":
         ff = fourier_gate(d)
+        ff_dg = ff.dagger()
         for a, b in _omega_pairs(k):
             rec = parity_measure(cur, [1, d - 1], [a, b], rng)
             cur = rec.post_state
@@ -234,7 +235,7 @@ def verify(
             cur = rec.post_state
             if rec.outcome != 0:
                 return fail(syndrome, s2=True)
-            cur = apply_gate(apply_gate(cur, ff.dagger(), [a]), ff.dagger(), [b])
+            cur = apply_gate(apply_gate(cur, ff_dg, [a]), ff_dg, [b])
     else:
         for a, b in _omega_pairs(k):
             try:
