@@ -1,4 +1,7 @@
 """Random Clifford sampling: group coverage, exact realization, fast application."""
+import functools
+import itertools
+import math
 import time
 
 import numpy as np
@@ -7,132 +10,106 @@ import pytest
 from qsiglab.clifford import (
     CliffordOp,
     MATRIX_CAP,
-    Tableau,
     apply_clifford,
     is_symplectic,
     pauli_from_bits,
-    random_symplectic,
     sample_clifford,
-    sample_tableau,
-    sym_inner,
-    synthesize,
-    find_transvection,
-    transvect,
 )
-from qsiglab.qsim import apply_gate, basis_state, fidelity, new_rng, sample_random_pure
+from qsiglab.qsim import apply_gate, fidelity, new_rng, sample_random_pure
 
 
 # ---------------------------------------------------------------------------
-# symplectic layer
+# conjugation action, read off the dense unitary
 
 
-def test_sym_inner_is_the_commutation_form():
-    x = np.array([1, 0, 0, 0])  # X on qubit 0
-    z = np.array([0, 1, 0, 0])  # Z on qubit 0
-    z1 = np.array([0, 0, 0, 1])
-    assert sym_inner(x, z) == 1  # X and Z anticommute
-    assert sym_inner(x, z1) == 0  # different qubits commute
+@functools.lru_cache(maxsize=None)
+def _paulis(m):
+    labels = list(itertools.product((0, 1), repeat=2 * m))
+    return labels, np.array([pauli_from_bits(np.array(v), 0) for v in labels])
 
 
-def test_find_transvection_maps_x_to_y():
-    rng = new_rng(4)
-    for _ in range(200):
-        m = int(rng.integers(1, 4))
-        x = rng.integers(0, 2, size=2 * m)
-        y = rng.integers(0, 2, size=2 * m)
-        if not x.any() or not y.any():
-            continue
-        h0, h1 = find_transvection(x, y)
-        assert np.array_equal(transvect(h1, transvect(h0, x)), y)
-
-
-def test_random_symplectic_always_symplectic():
-    rng = new_rng(1)
-    for m in (1, 2, 3, 5):
-        for _ in range(20):
-            assert is_symplectic(random_symplectic(m, rng))
-
-
-def test_symplectic_coverage_m1():
-    # |Sp(2, 2)| = 6; sampling must hit all six and nothing else
-    rng = new_rng(2)
-    seen = {random_symplectic(1, rng).tobytes() for _ in range(600)}
-    assert len(seen) == 6
-
-
-def test_symplectic_coverage_m2():
-    # |Sp(4, 2)| = 720
-    rng = new_rng(3)
-    seen = set()
-    for _ in range(14_000):
-        seen.add(random_symplectic(2, rng).tobytes())
-    assert len(seen) == 720
-
-
-def test_symplectic_m1_roughly_uniform():
-    rng = new_rng(8)
-    counts = {}
-    n = 6000
-    for _ in range(n):
-        key = random_symplectic(1, rng).tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    # each of the 6 elements expected n/6 = 1000; allow 5 sigma (~150)
-    assert all(800 < c < 1200 for c in counts.values())
-
-
-# ---------------------------------------------------------------------------
-# tableau realization
-
-
-def _realizes(op: CliffordOp, tab: Tableau) -> bool:
+def _action(op: CliffordOp) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic matrix (row i is the image of generator i) and sign bits of
+    U P U^dagger over the generators X_i, Z_i; asserts each image is a signed Pauli."""
+    m = op.m
+    labels, paulis = _paulis(m)
     u = op.unitary().entries
-    m = tab.m
+    mat = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    signs = np.zeros(2 * m, dtype=np.int64)
     for i in range(2 * m):
-        vec = np.zeros(2 * m, dtype=np.int64)
-        vec[i] = 1
-        gen = pauli_from_bits(vec, 0)
-        expected = pauli_from_bits(tab.mat[i], tab.signs[i])
-        if not np.allclose(u @ gen @ u.conj().T, expected, atol=1e-9):
-            return False
-    return True
+        image = u @ paulis[labels.index(tuple(int(j == i) for j in range(2 * m)))] @ u.conj().T
+        coeffs = np.einsum("pij,ji->p", paulis, image) / 2**m
+        hit = np.flatnonzero(np.abs(coeffs) > 1e-9)
+        assert len(hit) == 1 and abs(abs(coeffs[hit[0]].real) - 1.0) < 1e-9, "image is not a signed Pauli"
+        mat[i] = labels[hit[0]]
+        signs[i] = coeffs[hit[0]].real < 0
+    return mat, signs
+
+
+# ---------------------------------------------------------------------------
+# sampling
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_synthesis_realizes_sampled_tableaus(m):
+def test_generators_map_to_signed_paulis(m):
     rng = new_rng(10 + m)
     for _ in range(25):
-        tab = sample_tableau(m, rng)
-        assert _realizes(synthesize(tab), tab)
+        mat, _ = _action(sample_clifford(m, rng))
+        assert is_symplectic(mat)
 
 
 def test_single_qubit_clifford_class_count():
-    # 24 single-qubit Cliffords mod global phase
+    # 24 single-qubit Cliffords mod global phase, each hit within 5 sigma
     rng = new_rng(12)
-    classes = set()
-    for _ in range(1500):
+    n = 6000
+    counts = {}
+    for _ in range(n):
         u = sample_clifford(1, rng).unitary().entries
         flat = u.reshape(-1)
         phase = flat[np.argmax(np.abs(flat))]
-        canon = np.round(u / (phase / abs(phase)), 6) + 0.0
-        classes.add(canon.tobytes())
-    assert len(classes) == 24
+        canon = (np.round(u / (phase / abs(phase)), 6) + 0.0).tobytes()
+        counts[canon] = counts.get(canon, 0) + 1
+    assert len(counts) == 24
+    sigma = math.sqrt(n * (1 / 24) * (23 / 24))
+    assert all(abs(c - n / 24) <= 5 * sigma for c in counts.values())
+
+
+def test_symplectic_coverage_m2():
+    # |Sp(4, 2)| = 720: every element hit, chi-square within 6 sigma of its
+    # mean 719 (variance 2 * 719); the 16 sign patterns each within 5 sigma
+    rng = new_rng(3)
+    n = 14_400
+    classes, sign_counts = {}, {}
+    for _ in range(n):
+        mat, signs = _action(sample_clifford(2, rng))
+        classes[mat.tobytes()] = classes.get(mat.tobytes(), 0) + 1
+        sign_counts[signs.tobytes()] = sign_counts.get(signs.tobytes(), 0) + 1
+    assert len(classes) == 720
+    expected = n / 720
+    chi2 = sum((c - expected) ** 2 / expected for c in classes.values())
+    assert chi2 <= 719 + 6 * math.sqrt(2 * 719), chi2
+    assert len(sign_counts) == 16
+    sigma = math.sqrt(n * (1 / 16) * (15 / 16))
+    assert all(abs(c - n / 16) <= 5 * sigma for c in sign_counts.values())
 
 
 def test_distinct_draws_rarely_collide():
     rng_a, rng_b = new_rng(100), new_rng(200)
     different = 0
     for _ in range(1000):
-        ta, tb = sample_tableau(2, rng_a), sample_tableau(2, rng_b)
-        if ta.mat.tobytes() != tb.mat.tobytes() or ta.signs.tobytes() != tb.signs.tobytes():
+        (ma, sa), (mb, sb) = _action(sample_clifford(2, rng_a)), _action(sample_clifford(2, rng_b))
+        if not (np.array_equal(ma, mb) and np.array_equal(sa, sb)):
             different += 1
     assert different >= 990
 
 
 def test_sign_bits_change_the_unitary():
-    g = random_symplectic(2, new_rng(5))
-    plain = synthesize(Tableau(g, np.zeros(4, dtype=np.int64))).unitary().entries
-    signed = synthesize(Tableau(g, np.array([1, 0, 0, 0]))).unitary().entries
-    assert not np.allclose(plain, signed)
+    op = sample_clifford(2, new_rng(5))
+    flipped = CliffordOp(2, op.gates + (("x", (0,)),))
+    (plain_mat, plain_signs), (flip_mat, flip_signs) = _action(op), _action(flipped)
+    assert np.array_equal(plain_mat, flip_mat)
+    assert not np.array_equal(plain_signs, flip_signs)
+    assert not np.allclose(op.unitary().entries, flipped.unitary().entries)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +143,7 @@ def test_empty_clifford_is_noop():
 
 
 def test_gate_vocabulary_against_dense_embeddings():
-    # every gate name the synthesizer can emit, checked on 3 qubits
+    # every gate name a CliffordOp may carry, checked on 3 qubits
     from qsiglab.qsim import GateMatrix
 
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
