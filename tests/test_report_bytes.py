@@ -34,12 +34,12 @@ DIGESTS = {
     ("honest_arbitrated", "protocol", 0): "745b0a44a774c951abb7d5ee7010d14609d75c3dc439d1746069bdde42d2cbac",
     ("honest_arbitrated", "protocol", 17): "05b640ae7756ec59eff5b755d43e2c94c127c4c3230b667d98270c9a10fed6bd",
     ("eve_pauli_tamper", None, 0): "be49d69c6926dadeccd3c19f87b0da665200a2df70643430b0350c7020262bb9",
-    ("eve_pauli_tamper", None, 17): "85657e7224b869b65d608ff0061e7a1d36e29d537c1ccfb5b219f167e6fde118",
+    ("eve_pauli_tamper", None, 17): "00fe53a4f7ea89a3e47e31a16681cb29cb73925d3dee07be9635cb7563b9382a",
     ("eve_pauli_tamper", "protocol", 0): "059dc25cacc8530a023c26db70a9242a86d90ff9bd578f59d270c6120b0e3f60",
-    ("eve_pauli_tamper", "protocol", 17): "5e56671882652c9129c134c7cfc5fad634419b324e2566ac716c681586535567",
+    ("eve_pauli_tamper", "protocol", 17): "1b426a2d65e890d0b85359ccdf74935934571cb80b87c3100f7dae277606e2f4",
     ("bob_pauli_forgery", None, 0): "5b9edec9673ca2555b8f790764fd115c87272896308623d0944bfbb1d0194b8d",
     ("bob_pauli_forgery", None, 17): "3fcbce1eea6a7f4fbeb41966aec3347d61354d63ded46dd3ee7ab54be47e8443",
-    ("bob_pauli_forgery", "protocol", 0): "d4a6f2448f666d62c03d078a744f0f99e8232dcf70740654195a4308839375b7",
+    ("bob_pauli_forgery", "protocol", 0): "b6f72df58864f065e88aa764c0fad18cdfdc6424417bed576ba54ca48a02691c",
     ("bob_pauli_forgery", "protocol", 17): "4555e8759e4f66c1f7593f1e03bb41b507be407d296b162e3fc42e2cefbdff69",
     ("wrong_key_binding", None, 0): "b07fad07e298d79c6d7fb323a1c88aaeca7b730d61a549a20bfef7fcdb622696",
     ("wrong_key_binding", None, 17): "97517508d867e94a08f1592a2cd5d19341df84d9036e692c42fb403ffbe7aa15",
@@ -79,4 +79,4 @@ def test_report_bytes_unchanged(name, mode, seed):
     params = {} if mode is None else {"mode": mode}
     report = run_scenario(Scenario(name, params, TRIALS[name], seed))
     digest = hashlib.sha256(canonical_report_json(report).encode("utf-8")).hexdigest()
-    assert digest == DIGESTS[(name, mode, seed)]
+    assert digest == DIGESTS[(name, mode, seed)], f"computed digest {digest}"
