@@ -447,6 +447,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
 
 
 def _tag_fields(tag) -> list[int] | None:
+    """The [value, width, pad_index] list a tag travels as, or None if it is no MAC tag."""
     return [tag.value, tag.width, tag.pad_index] if isinstance(tag, MacTag) else None
 
 

@@ -30,7 +30,7 @@ _DAGGER = {"h": "h", "s": "sdg", "sdg": "s", "cnot": "cnot", "cz": "cz", "swap":
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# gate sequences and sampling
 
 
 def is_symplectic(g: np.ndarray) -> bool:
@@ -84,16 +84,16 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
         k = 2 * mm - int(rng.integers(1, 4**mm)).bit_length()
         had.append(k < mm)
         perm.append(inds.pop(k if k < mm else 2 * mm - k - 1))
-    f2, f1 = _borel_gates(m, rng), _borel_gates(m, rng)
-    xs, zs = rng.integers(0, 2, size=(2, m)).tolist()
-    gates = f2
+    gates = _borel_gates(m, rng)  # F2
     order = list(range(m))
     for i, q in enumerate(perm):  # bring qubit perm[i] to position i
         j = order.index(q)
         if j != i:
             gates.append(("swap", (i, j)))
             order[i], order[j] = q, order[i]
-    gates += [("h", (q,)) for q in range(m) if had[q]] + f1
+    gates += [("h", (q,)) for q in range(m) if had[q]]
+    gates += _borel_gates(m, rng)  # F1
+    xs, zs = rng.integers(0, 2, size=(2, m)).tolist()
     gates += [("x", (q,)) for q in range(m) if xs[q]] + [("z", (q,)) for q in range(m) if zs[q]]
     return CliffordOp(m, tuple(gates))
 

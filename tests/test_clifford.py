@@ -1,6 +1,7 @@
 """Random Clifford sampling: group coverage, exact realization, fast application."""
 import functools
 import itertools
+from collections import Counter
 import math
 import time
 
@@ -36,8 +37,8 @@ def _action(op: CliffordOp) -> tuple[np.ndarray, np.ndarray]:
     u = op.unitary().entries
     mat = np.zeros((2 * m, 2 * m), dtype=np.int64)
     signs = np.zeros(2 * m, dtype=np.int64)
-    for i in range(2 * m):
-        image = u @ paulis[labels.index(tuple(int(j == i) for j in range(2 * m)))] @ u.conj().T
+    for i, generator in enumerate(np.eye(2 * m, dtype=np.int64)):
+        image = u @ pauli_from_bits(generator, 0) @ u.conj().T
         coeffs = np.einsum("pij,ji->p", paulis, image) / 2**m
         hit = np.flatnonzero(np.abs(coeffs) > 1e-9)
         assert len(hit) == 1 and abs(abs(coeffs[hit[0]].real) - 1.0) < 1e-9, "image is not a signed Pauli"
@@ -62,13 +63,12 @@ def test_single_qubit_clifford_class_count():
     # 24 single-qubit Cliffords mod global phase, each hit within 5 sigma
     rng = new_rng(12)
     n = 6000
-    counts = {}
+    counts = Counter()
     for _ in range(n):
         u = sample_clifford(1, rng).unitary().entries
         flat = u.reshape(-1)
         phase = flat[np.argmax(np.abs(flat))]
-        canon = (np.round(u / (phase / abs(phase)), 6) + 0.0).tobytes()
-        counts[canon] = counts.get(canon, 0) + 1
+        counts[(np.round(u / (phase / abs(phase)), 6) + 0.0).tobytes()] += 1
     assert len(counts) == 24
     sigma = math.sqrt(n * (1 / 24) * (23 / 24))
     assert all(abs(c - n / 24) <= 5 * sigma for c in counts.values())
@@ -79,11 +79,11 @@ def test_symplectic_coverage_m2():
     # mean 719 (variance 2 * 719); the 16 sign patterns each within 5 sigma
     rng = new_rng(3)
     n = 14_400
-    classes, sign_counts = {}, {}
+    classes, sign_counts = Counter(), Counter()
     for _ in range(n):
         mat, signs = _action(sample_clifford(2, rng))
-        classes[mat.tobytes()] = classes.get(mat.tobytes(), 0) + 1
-        sign_counts[signs.tobytes()] = sign_counts.get(signs.tobytes(), 0) + 1
+        classes[mat.tobytes()] += 1
+        sign_counts[signs.tobytes()] += 1
     assert len(classes) == 720
     expected = n / 720
     chi2 = sum((c - expected) ** 2 / expected for c in classes.values())
