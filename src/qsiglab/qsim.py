@@ -434,9 +434,12 @@ def controlled_add_gate(d: int) -> GateMatrix:
 
 
 def state_digest(state: PureState) -> str:
-    """Stable hex digest of the exact amplitude bytes (plus shape header)."""
+    """Stable hex digest of the exact amplitude bytes (plus shape header).
+
+    Adding +0.0 turns every -0.0 into +0.0 first: the sign of a zero amplitude
+    is not a property of the state."""
     h = hashlib.sha256()
     h.update(f"{state.d}|{state.n}|".encode())
-    h.update(state.amps.tobytes())
+    h.update((state.amps + 0.0).tobytes())
     return h.hexdigest()
 

@@ -363,6 +363,11 @@ def test_state_digest_distinguishes_and_repeats():
     b = basis_state(2, 2, [1, 0])
     assert state_digest(a) == state_digest(a)
     assert state_digest(a) != state_digest(b)
+    # the sign of a zero amplitude is not part of the state
+    signed = np.array([complex(-0.0, -0.0), complex(-0.0, 1.0), 0.0, 0.0])
+    plain = np.array([0.0, 1j, 0.0, 0.0])
+    assert np.signbit(signed.real[:2]).all() and not np.signbit(plain.real).any()
+    assert state_digest(PureState(2, 2, signed)) == state_digest(PureState(2, 2, plain))
 
 
 def test_identity_gate_is_identity():
