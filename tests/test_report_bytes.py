@@ -8,12 +8,18 @@ Clifford sampler, say) must re-baseline these digests and say so.
 
 Every scenario runs at its defaults, and every scenario that takes ``mode``
 runs again in protocol mode, each at seeds 0 and 17.
+
+Reports of honest sessions hold only accept and stage counts, which do not
+depend on the Clifford a seed selects, so one more digest pins session
+transcripts: they log a state digest after every protocol step.
 """
 import hashlib
 
 import pytest
 
-from qsiglab.attacks import SCENARIOS, Scenario, canonical_report_json, run_scenario
+from qsiglab.arbitrated import SessionConfig, run_session
+from qsiglab.attacks import SCENARIOS, Scenario, canonical_report_json, pauli_tamper_hook, run_scenario
+from qsiglab.qsim import derive_seed, new_rng
 
 TRIALS = {
     "honest_arbitrated": 4,
@@ -80,3 +86,21 @@ def test_report_bytes_unchanged(name, mode, seed):
     report = run_scenario(Scenario(name, params, TRIALS[name], seed))
     digest = hashlib.sha256(canonical_report_json(report).encode("utf-8")).hexdigest()
     assert digest == DIGESTS[(name, mode, seed)], f"computed digest {digest}"
+
+
+# one SHA-256 over the transcripts of honest sessions and of eve's Pauli tamper
+# at each channel position, for seeds 0-5 in both modes at t = 4 and 6
+TRANSCRIPTS_DIGEST = "69469bd74f3e1a1b4a0247ea4826295695d5456164866fbf9c7eecb110138af2"
+
+
+def test_transcript_bytes_unchanged():
+    h = hashlib.sha256()
+    for seed in range(6):
+        for mode in ("referee", "protocol"):
+            for t in (4, 6):
+                cfg = SessionConfig(t=t, mode=mode, seed=seed)
+                h.update(run_session(cfg).json_lines().encode("utf-8"))
+                for position in ("sigma", "y", "t_reply"):
+                    hook = pauli_tamper_hook(position, new_rng(derive_seed(seed, "adversary", position)))
+                    h.update(run_session(cfg, adversary_hook=hook).json_lines().encode("utf-8"))
+    assert h.hexdigest() == TRANSCRIPTS_DIGEST, f"computed digest {h.hexdigest()}"
