@@ -7,9 +7,16 @@ Hadamard-free Borel elements F1 and F2, each a lower-triangular CNOT network
 followed by S and CZ phases. A uniform Pauli layer then sets the sign bits,
 giving every Clifford (mod global phase) the same probability. The gate list
 comes out directly, in circuit order: F2, the SWAPs realizing the
-permutation, H on the Hadamard qubits, F1, then X and Z. Application is in
-place and slice-based so 16-qubit blocks stay in the tens of milliseconds;
-dense matrices are materialized only on request and only for m <= MATRIX_CAP.
+permutation, H on the Hadamard qubits, F1, then X and Z.
+
+Application works in place, on a state vector or on the columns of a dense
+matrix, and does not go gate by gate. Each maximal run of gates without H is
+folded into one map |x> -> i^q(x) |Ax + b>, with A and b affine over GF(2)
+and q a Z4 quadratic form (Dehaene and De Moor, PRA 68, 042318, 2003). The
+run then costs one index scatter and one phase multiply; each H is a
+butterfly. A sampled operator, or its inverse, is two such passes around one
+H layer. Dense matrices are materialized only on request and only for
+m <= MATRIX_CAP.
 
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
@@ -115,7 +122,7 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # quad held as row bitmasks; only its GF(2) value matters.
 
 _PHASE_POWER = {"s": 1, "z": 2, "sdg": 3}  # the gate is diag(1, i^k)
-_I_POW = np.array([1, 1j, -1, -1j])
+_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact; half the bytes of a complex128 factor
 
 
 def _bits(mask: int):
@@ -126,7 +133,11 @@ def _bits(mask: int):
 
 
 def _transpose(rows: list[int], m: int) -> list[int]:
-    return [sum(((r >> j) & 1) << p for p, r in enumerate(rows)) for j in range(m)]
+    cols = [0] * m
+    for p, r in enumerate(rows):
+        for j in _bits(r):
+            cols[j] |= 1 << p
+    return cols
 
 
 def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +145,7 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
     H-free run of gates."""
     rows = [1 << p for p in range(m)]  # output bit p is the parity of x & rows[p], xor b_p
     b, const, lin, quad = 0, 0, [0] * m, [0] * m
-    cz = [0] * m  # pending CZ partners of each output bit, folded in one product per bit
+    cz: dict[int, int] = {}  # pending CZ partners of each output bit, folded in one product per bit
 
     def add_product(alpha: int, beta: int, gamma: int, delta: int) -> None:
         # phase += 2 (alpha.x + beta)(gamma.x + delta)
@@ -146,13 +157,12 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
         const += 2 * (beta & delta)
 
     def flush_cz() -> None:
-        for p in range(m):
-            if cz[p]:
-                gamma = 0
-                for r in _bits(cz[p]):
-                    gamma ^= rows[r]
-                add_product(rows[p], (b >> p) & 1, gamma, (b & cz[p]).bit_count() & 1)
-                cz[p] = 0
+        for p, partners in cz.items():
+            gamma = 0
+            for r in _bits(partners):
+                gamma ^= rows[r]
+            add_product(rows[p], (b >> p) & 1, gamma, (b & partners).bit_count() & 1)
+        cz.clear()
 
     for name, qs in run:
         ps = [m - 1 - q for q in qs]
@@ -170,7 +180,7 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
                 if ((b >> p) ^ (b >> r)) & 1:
                     b ^= (1 << p) | (1 << r)
         elif name == "cz":
-            cz[ps[0]] ^= 1 << ps[1]
+            cz[ps[0]] = cz.get(ps[0], 0) ^ (1 << ps[1])
         elif name in _PHASE_POWER:
             # k y_p with y_p = parity(alpha.x) xor beta; mod 4, a parity is
             # sum_j x_j - 2 sum_{j<l} x_j x_l, and beta = 1 turns k y into k - k y
@@ -193,36 +203,48 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
     cols, quad_cols = _transpose(rows, m), _transpose(quad, m)
     n = 1 << m
     key = np.empty(n, dtype=np.int64)
-    phase = np.empty(n, dtype=np.int64)
-    key[0], phase[0] = b, const
+    phase = np.empty(n, dtype=np.uint8)  # wraps mod 256, which keeps it mod 4
+    key[0], phase[0] = b, const & 3
     for j in range(m):
         h = 1 << j
         cross = quad[j] ^ quad_cols[j]
         np.bitwise_xor(key[:h], cols[j] | (cross >> (j + 1) << (m + j + 1)), out=key[h : 2 * h])
         hi = phase[h : 2 * h]
-        np.right_shift(key[:h], m + j - 1, out=hi)
+        np.right_shift(key[:h], m + j - 1, out=hi, casting="unsafe")
         hi &= 2
         hi += phase[:h]
-        hi += lin[j] + 2 * ((quad[j] >> j) & 1)
+        hi += (lin[j] + 2 * ((quad[j] >> j) & 1)) & 3
     key &= n - 1
+    phase &= 3
     return key, phase
+
+
+# Each step gets its own function so its temporaries are freed before the next.
+
+
+def _permute_with_phase(a2: np.ndarray, dest: np.ndarray, phase: np.ndarray) -> None:
+    a2 *= _I_POW[phase][:, None]
+    a2[dest] = a2.copy()
+
+
+def _hadamard(a2: np.ndarray, q: int) -> None:
+    v = a2.reshape(1 << q, 2, -1)
+    v0, v1 = v[:, 0], v[:, 1]
+    d = v0 - v1
+    v0 += v1
+    v0 *= _INV_SQRT2
+    np.multiply(d, _INV_SQRT2, out=v1)
 
 
 def _apply_gates(a: np.ndarray, m: int, gates) -> None:
     """Apply gates in circuit order, in place, on a (2^m,) vector or (2^m, batch) array."""
     a2 = a.reshape(1 << m, -1)
     for is_h, run in itertools.groupby(gates, key=lambda g: g[0] == "h"):
-        if not is_h:
-            dest, phase = _affine_phase(m, run)
-            a2[dest] = a2 * _I_POW[phase & 3][:, None]
-            continue
-        for _, (q,) in run:
-            v = a2.reshape(1 << q, 2, -1)
-            v0, v1 = v[:, 0], v[:, 1]
-            d = v0 - v1
-            v0 += v1
-            v0 *= _INV_SQRT2
-            np.multiply(d, _INV_SQRT2, out=v1)
+        if is_h:
+            for _, (q,) in run:
+                _hadamard(a2, q)
+        else:
+            _permute_with_phase(a2, *_affine_phase(m, run))
 
 
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
