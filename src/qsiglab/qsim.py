@@ -164,13 +164,14 @@ def decode_labels(idx: int, m: int, d: int) -> tuple[int, ...]:
 
 def parity_labels(d: int, n: int, coeffs: Sequence[int], targets: Sequence[int]) -> np.ndarray:
     """sum(coeffs[i] * label(targets[i])) mod d for every flat index 0..d^n-1."""
-    idx = np.arange(d**n)
-    parity = np.zeros(d**n, dtype=np.int64)
+    parity = np.zeros((d,) * n, dtype=np.int64)
     for c, q in zip(coeffs, targets):
         c = int(c) % d
         if c:
-            parity += c * (idx // d ** (n - 1 - q) % d)
-    return parity % d
+            # label values c * 0..d-1 along register q's axis, broadcast over the rest
+            parity += (c * np.arange(d)).reshape((d,) + (1,) * (n - 1 - q))
+    parity %= d
+    return parity.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
