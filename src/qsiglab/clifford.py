@@ -203,27 +203,30 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
     cols, quad_cols = _transpose(rows, m), _transpose(quad, m)
     n = 1 << m
     key = np.empty(n, dtype=np.int64)
-    phase = np.empty(n, dtype=np.uint8)  # wraps mod 256, which keeps it mod 4
-    key[0], phase[0] = b, const & 3
+    phase = np.empty(n, dtype=np.int64)
+    key[0], phase[0] = b, const
     for j in range(m):
         h = 1 << j
         cross = quad[j] ^ quad_cols[j]
         np.bitwise_xor(key[:h], cols[j] | (cross >> (j + 1) << (m + j + 1)), out=key[h : 2 * h])
         hi = phase[h : 2 * h]
-        np.right_shift(key[:h], m + j - 1, out=hi, casting="unsafe")
+        np.right_shift(key[:h], m + j - 1, out=hi)
         hi &= 2
         hi += phase[:h]
-        hi += (lin[j] + 2 * ((quad[j] >> j) & 1)) & 3
+        hi += lin[j] + 2 * ((quad[j] >> j) & 1)
     key &= n - 1
     phase &= 3
     return key, phase
 
 
-# Each step gets its own function so its temporaries are freed before the next.
+# Each step gets its own function, and the phase is dropped before the scatter
+# copies the state, so at most the index and one state copy are alive at once.
 
 
-def _permute_with_phase(a2: np.ndarray, dest: np.ndarray, phase: np.ndarray) -> None:
+def _apply_run(a2: np.ndarray, m: int, run) -> None:
+    dest, phase = _affine_phase(m, run)
     a2 *= _I_POW[phase][:, None]
+    del phase
     a2[dest] = a2.copy()
 
 
@@ -244,7 +247,7 @@ def _apply_gates(a: np.ndarray, m: int, gates) -> None:
             for _, (q,) in run:
                 _hadamard(a2, q)
         else:
-            _permute_with_phase(a2, *_affine_phase(m, run))
+            _apply_run(a2, m, run)
 
 
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
