@@ -1,5 +1,6 @@
 """Random Clifford sampling: group coverage, exact realization, fast application."""
 import functools
+import hashlib
 import itertools
 from collections import Counter
 import math
@@ -259,3 +260,18 @@ def test_determinism_same_seed_same_op():
     a = sample_clifford(4, new_rng(70))
     b = sample_clifford(4, new_rng(70))
     assert a.gates == b.gates
+
+
+# SHA-256 over repr(op.gates) and repr(op.inverse().gates) of sample_clifford(m, new_rng(s)),
+# m = 1..16 and s = 0..3: the gate lists the tracer counts and the reference applies
+_GATE_LIST_DIGEST = "a91b36e43b2609775f8c5998cd8ddd56d41f5da1482a4ea0074e461c61db5b98"
+
+
+def test_gate_lists_pinned():
+    h = hashlib.sha256()
+    for m in range(1, 17):
+        for s in range(4):
+            op = sample_clifford(m, new_rng(s))
+            h.update(repr(op.gates).encode())
+            h.update(repr(op.inverse().gates).encode())
+    assert h.hexdigest() == _GATE_LIST_DIGEST, h.hexdigest()
