@@ -1,22 +1,17 @@
-"""Uniform random qubit Clifford elements, as exact gate sequences.
+"""Uniform random qubit Clifford elements, kept as their canonical-form data.
 
 Sampling follows the canonical form U = F1 H S F2 of Bravyi and Maslov
 (arXiv:2003.09412): a Weyl element (a qubit permutation S and a set of
 Hadamards H) drawn by quantum Mallows sampling, and two independent uniform
 Hadamard-free Borel elements F1 and F2, each a lower-triangular CNOT network
 followed by S and CZ phases. A uniform Pauli layer then sets the sign bits,
-giving every Clifford (mod global phase) the same probability. The gate list
-comes out directly, in circuit order: F2, the SWAPs realizing the
-permutation, H on the Hadamard qubits, F1, then X and Z.
+giving every Clifford (mod global phase) the same probability. A CliffordOp
+keeps these draws as they came and derives its gate list from them.
 
 Application works in place, on a state vector or on the columns of a dense
-matrix, and does not go gate by gate. Each maximal run of gates without H is
-folded into one map |x> -> i^q(x) |Ax + b>, with A and b affine over GF(2)
-and q a Z4 quadratic form (Dehaene and De Moor, PRA 68, 042318, 2003). The
-run then costs one index scatter and one phase multiply; each H is a
-butterfly. A sampled operator, or its inverse, is two such passes around one
-H layer. Dense matrices are materialized only on request and only for
-m <= MATRIX_CAP.
+matrix, and does not go gate by gate: F2 with the permutation, then the H
+layer, then F1 with the Pauli layer. Dense matrices are materialized only on
+request and only for m <= MATRIX_CAP.
 
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
@@ -24,8 +19,8 @@ v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +29,10 @@ from .qsim import GateMatrix, PureState
 MATRIX_CAP = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_DAGGER = {"h": "h", "s": "sdg", "sdg": "s", "cnot": "cnot", "cz": "cz", "swap": "swap", "x": "x", "z": "z"}
 
 
 # ---------------------------------------------------------------------------
-# gate sequences and sampling
+# canonical-form data and sampling
 
 
 def is_symplectic(g: np.ndarray) -> bool:
@@ -52,37 +46,65 @@ def is_symplectic(g: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class CliffordOp:
-    """A Clifford as a gate sequence in circuit order (first gate acts first)."""
+    """U = F1 H S F2 followed by X and Z, or U^dagger if inverted.
+
+    Each Borel element F is a pair (lower, gamma) of m x m 0/1 rows: CNOT(j -> i)
+    for each lower[i][j] with j < i, then S on qubit i for gamma[i][i] and CZ on
+    (i, j) for gamma[i][j] with i < j. The permutation brings qubit perm[i] to
+    position i, H acts on each qubit q with had[q], and X and Z on the qubits
+    set in xs and zs. Empty data is the identity, so CliffordOp(m) is one.
+    """
 
     m: int
-    gates: tuple[tuple[str, tuple[int, ...]], ...]
+    f2: Sequence = ((), ())
+    perm: Sequence[int] = ()
+    had: Sequence[bool] = ()
+    f1: Sequence = ((), ())
+    xs: Sequence[int] = ()
+    zs: Sequence[int] = ()
+    inverted: bool = False
 
     def inverse(self) -> "CliffordOp":
-        inv = tuple((_DAGGER[name], qs) for name, qs in reversed(self.gates))
-        return CliffordOp(self.m, inv)
+        return replace(self, inverted=not self.inverted)
+
+    @property
+    def gates(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The gate sequence in circuit order (first gate acts first)."""
+        gates = _borel_gates(*self.f2)
+        order = list(range(self.m))
+        for i, q in enumerate(self.perm):  # bring qubit perm[i] to position i
+            j = order.index(q)
+            if j != i:
+                gates.append(("swap", (i, j)))
+                order[i], order[j] = q, order[i]
+        gates += [("h", (q,)) for q, h in enumerate(self.had) if h]
+        gates += _borel_gates(*self.f1)
+        gates += [("x", (q,)) for q, x in enumerate(self.xs) if x] + [("z", (q,)) for q, z in enumerate(self.zs) if z]
+        if self.inverted:
+            return tuple(("sdg" if name == "s" else name, qs) for name, qs in reversed(gates))
+        return tuple(gates)
 
     def unitary(self) -> GateMatrix:
         """Dense matrix realization; capped at m <= MATRIX_CAP."""
         if self.m > MATRIX_CAP:
             raise ValueError(f"dense realization capped at m={MATRIX_CAP}, got {self.m}")
         mat = np.eye(2**self.m, dtype=np.complex128)
-        _apply_gates(mat, self.m, self.gates)
+        _apply(mat, self)
         return GateMatrix(2, self.m, mat)
 
 
-def _borel_gates(m: int, rng: np.random.Generator) -> list[tuple[str, tuple[int, ...]]]:
-    """Uniform Hadamard-free Borel element: CNOT(j -> i) for each set bit of a
-    strictly lower-triangular L, targets in decreasing i, then S on the
-    diagonal and CZ on the upper part of a symmetric Gamma."""
-    lower, gamma = rng.integers(0, 2, size=(2, m, m)).tolist()
-    gates = [("cnot", (j, i)) for i in range(m - 1, -1, -1) for j in range(i) if lower[i][j]]
-    gates += [("s", (i,)) for i in range(m) if gamma[i][i]]
-    gates += [("cz", (i, j)) for i in range(m) for j in range(i + 1, m) if gamma[i][j]]
+def _borel_gates(lower, gamma) -> list[tuple[str, tuple[int, ...]]]:
+    """CNOT(j -> i) for each set bit of the strictly lower part of lower,
+    targets in decreasing i, then S on the diagonal and CZ on the upper part
+    of gamma."""
+    gates = [("cnot", (j, i)) for i in range(len(lower) - 1, -1, -1) for j in range(i) if lower[i][j]]
+    gates += [("s", (i,)) for i, row in enumerate(gamma) if row[i]]
+    gates += [("cz", (i, j)) for i, row in enumerate(gamma) for j in range(i + 1, len(row)) if row[j]]
     return gates
 
 
 def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
-    """Uniformly random m-qubit Clifford (mod phase), as a gate sequence."""
+    """Uniformly random m-qubit Clifford (mod phase), in canonical form."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     # Weyl element by quantum Mallows sampling: Hadamard flags and a permutation
@@ -92,36 +114,31 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
         k = 2 * mm - int(rng.integers(1, 4**mm)).bit_length()
         had.append(k < mm)
         perm.append(inds.pop(k if k < mm else 2 * mm - k - 1))
-    gates = _borel_gates(m, rng)  # F2
-    order = list(range(m))
-    for i, q in enumerate(perm):  # bring qubit perm[i] to position i
-        j = order.index(q)
-        if j != i:
-            gates.append(("swap", (i, j)))
-            order[i], order[j] = q, order[i]
-    gates += [("h", (q,)) for q in range(m) if had[q]]
-    gates += _borel_gates(m, rng)  # F1
+    # Borel elements F2 and F1: only the strict lower part of L and the
+    # upper part of Gamma (a symmetric matrix) are read
+    f2 = rng.integers(0, 2, size=(2, m, m)).tolist()
+    f1 = rng.integers(0, 2, size=(2, m, m)).tolist()
     xs, zs = rng.integers(0, 2, size=(2, m)).tolist()
-    gates += [("x", (q,)) for q in range(m) if xs[q]] + [("z", (q,)) for q in range(m) if zs[q]]
-    return CliffordOp(m, tuple(gates))
+    return CliffordOp(m, f2, perm, had, f1, xs, zs)
 
 
 # ---------------------------------------------------------------------------
 # fast in-place application
 #
-# A maximal run of H-free gates (cnot, swap, x, z, s, sdg, cz) maps basis
-# states as |x> -> i^phase(x) |A x + b> over GF(2), with phase a Z4 quadratic
-# form in x (Dehaene & De Moor, PRA 68, 042318, 2003). Each run is folded into
-# that form with Python-int bitmasks and applied as one scatter times i^phase;
-# the H gates between runs are butterflies. Every step is exact apart from the
-# butterflies, which do the same IEEE arithmetic as one H at a time, so the
-# result matches gate-by-gate application up to the sign of zeros.
+# Each H-free stage, F2 then the permutation or F1 then X and Z, maps basis
+# states as |x> -> i^q(y) |P y + xs> with y = (I + L) x over GF(2) and
+# q(y) = sum_i Gamma_ii y_i + 2 sum_{i<j} Gamma_ij y_i y_j + 2 zs.y + 2 |zs & xs|
+# (Dehaene & De Moor, PRA 68, 042318, 2003). It is built from the sampled rows
+# with Python-int bitmasks and applied as one scatter times i^q, its inverse as
+# the gather from the same arrays times i^-q; each H is a butterfly. Every step
+# is exact apart from the butterflies, which do the same IEEE arithmetic as one
+# H at a time, so the result matches gate-by-gate application up to the sign
+# of zeros.
 #
 # Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. The phase
 # is const + sum_j lin[j] x_j + 2 sum_{j,k} quad[j]_k x_j x_k (mod 4), with
 # quad held as row bitmasks; only its GF(2) value matters.
 
-_PHASE_POWER = {"s": 1, "z": 2, "sdg": 3}  # the gate is diag(1, i^k)
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact; half the bytes of a complex128 factor
 
 
@@ -140,63 +157,9 @@ def _transpose(rows: list[int], m: int) -> list[int]:
     return cols
 
 
-def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
-    """Destination index A x + b and Z4 phase of every flat index x for an
-    H-free run of gates."""
-    rows = [1 << p for p in range(m)]  # output bit p is the parity of x & rows[p], xor b_p
-    b, const, lin, quad = 0, 0, [0] * m, [0] * m
-    cz: dict[int, int] = {}  # pending CZ partners of each output bit, folded in one product per bit
-
-    def add_product(alpha: int, beta: int, gamma: int, delta: int) -> None:
-        # phase += 2 (alpha.x + beta)(gamma.x + delta)
-        nonlocal const
-        for j in _bits(alpha):
-            quad[j] ^= gamma
-        for j in _bits((alpha if delta else 0) ^ (gamma if beta else 0)):
-            lin[j] += 2
-        const += 2 * (beta & delta)
-
-    def flush_cz() -> None:
-        for p, partners in cz.items():
-            gamma = 0
-            for r in _bits(partners):
-                gamma ^= rows[r]
-            add_product(rows[p], (b >> p) & 1, gamma, (b & partners).bit_count() & 1)
-        cz.clear()
-
-    for name, qs in run:
-        ps = [m - 1 - q for q in qs]
-        if name in ("cnot", "swap", "x"):
-            flush_cz()
-            if name == "x":
-                b ^= 1 << ps[0]
-            elif name == "cnot":
-                c, t = ps
-                rows[t] ^= rows[c]
-                b ^= ((b >> c) & 1) << t
-            else:
-                p, r = ps
-                rows[p], rows[r] = rows[r], rows[p]
-                if ((b >> p) ^ (b >> r)) & 1:
-                    b ^= (1 << p) | (1 << r)
-        elif name == "cz":
-            cz[ps[0]] = cz.get(ps[0], 0) ^ (1 << ps[1])
-        elif name in _PHASE_POWER:
-            # k y_p with y_p = parity(alpha.x) xor beta; mod 4, a parity is
-            # sum_j x_j - 2 sum_{j<l} x_j x_l, and beta = 1 turns k y into k - k y
-            k, p = _PHASE_POWER[name], ps[0]
-            alpha = rows[p]
-            if (b >> p) & 1:
-                const += k
-                k = -k
-            for j in _bits(alpha):
-                lin[j] += k
-                if k & 1:
-                    quad[j] ^= alpha & ~((2 << j) - 1)
-        else:
-            raise ValueError(f"unknown gate {name!r}")
-    flush_cz()
-
+def _index_phase(m: int, rows, b, const, lin, quad) -> tuple[np.ndarray, np.ndarray]:
+    """Destination index A x + b and Z4 phase of every flat index x, where
+    output bit p is the parity of x & rows[p], xor b_p."""
     # Double over the bits of x: entries [2^j, 2^(j+1)) are entries [0, 2^j)
     # with bit j set. The low m bits of key hold A x + b; bit m + k holds the
     # parity of x against the cross terms pairing bit k with lower bits.
@@ -219,15 +182,44 @@ def _affine_phase(m: int, run) -> tuple[np.ndarray, np.ndarray]:
     return key, phase
 
 
-# Each step gets its own function, and the phase is dropped before the scatter
-# copies the state, so at most the index and one state copy are alive at once.
-
-
-def _apply_run(a2: np.ndarray, m: int, run) -> None:
-    dest, phase = _affine_phase(m, run)
-    a2 *= _I_POW[phase][:, None]
-    del phase
-    a2[dest] = a2.copy()
+def _apply_stage(a2: np.ndarray, m: int, borel, perm, xs, zs, inverse: bool) -> None:
+    """|x> -> i^q(y) |P y + xs>, y = (I + L) x, or its inverse, in place."""
+    lower, gamma = borel
+    bit = [1 << (m - 1 - i) for i in range(m)]
+    # y_i is the parity of x & rows[i]; the bits are distinct, so sum is or
+    rows = [bit[i] + sum(bit[j] for j in range(i) if row[j]) for i, row in enumerate(lower)] or bit
+    lin, quad = [0] * m, [0] * m
+    for i, row in enumerate(gamma):
+        # S: mod 4 a parity is sum_j x_j - 2 sum_{j<l} x_j x_l; CZ: 2 y_i y_j
+        partners = 0
+        for j in range(i + 1, m):
+            if row[j]:
+                partners ^= rows[j]
+        for p in _bits(rows[i]):
+            lin[p] += row[i]
+            quad[p] ^= partners ^ (rows[i] & -(2 << p) if row[i] else 0)
+    for i, z in enumerate(zs):
+        if z:
+            for p in _bits(rows[i]):
+                lin[p] += 2
+    out = [rows[q] for q in perm or range(m)]  # output qubit i is y_perm[i]
+    b = sum(bit[i] for i, x in enumerate(xs) if x)
+    dest, phase = _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad)
+    # The phase is dropped before the state is copied, so at most the index
+    # and one state copy are alive at once. The inverse a[x] = i^-q[x]
+    # out[dest[x]] moves its phase to the destination first, for that reason.
+    if inverse:
+        np.negative(phase, out=phase)
+        at_dest = np.empty_like(phase)
+        at_dest[dest] = phase
+        del phase
+        a2 *= _I_POW[at_dest][:, None]
+        del at_dest
+        a2[:] = a2[dest]
+    else:
+        a2 *= _I_POW[phase][:, None]
+        del phase
+        a2[dest] = a2.copy()
 
 
 def _hadamard(a2: np.ndarray, q: int) -> None:
@@ -239,25 +231,27 @@ def _hadamard(a2: np.ndarray, q: int) -> None:
     np.multiply(d, _INV_SQRT2, out=v1)
 
 
-def _apply_gates(a: np.ndarray, m: int, gates) -> None:
-    """Apply gates in circuit order, in place, on a (2^m,) vector or (2^m, batch) array."""
-    a2 = a.reshape(1 << m, -1)
-    for is_h, run in itertools.groupby(gates, key=lambda g: g[0] == "h"):
-        if is_h:
-            for _, (q,) in run:
-                _hadamard(a2, q)
-        else:
-            _apply_run(a2, m, run)
+def _apply(a: np.ndarray, op: CliffordOp) -> None:
+    """Apply op in place on a (2^m,) vector or (2^m, batch) array."""
+    a2 = a.reshape(1 << op.m, -1)
+    first, second = (op.f2, op.perm, (), ()), (op.f1, (), op.xs, op.zs)
+    hs = [q for q, h in enumerate(op.had) if h]
+    if op.inverted:
+        first, second, hs = second, first, hs[::-1]
+    _apply_stage(a2, op.m, *first, op.inverted)
+    for q in hs:
+        _hadamard(a2, q)
+    _apply_stage(a2, op.m, *second, op.inverted)
 
 
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
-    """Apply a Clifford gate sequence to a qubit state (all registers)."""
+    """Apply a Clifford to a qubit state (all registers)."""
     if state.d != 2:
         raise ValueError("Clifford application requires qubit registers (d = 2)")
     if state.n != op.m:
         raise ValueError(f"operator acts on {op.m} qubits, state has {state.n}")
     amps = state.amps.copy()
-    _apply_gates(amps, op.m, op.gates)
+    _apply(amps, op)
     return PureState(2, op.m, amps)
 
 
