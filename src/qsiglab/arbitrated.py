@@ -75,7 +75,7 @@ NONCOMMUTATIVITY_THRESHOLD = 1.0
 
 
 class ProtocolError(RuntimeError):
-    """A message arrived in the wrong phase or with an impossible shape."""
+    """A message arrived with an impossible shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +364,13 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
     Bob cannot check anything yet; he binds what he saw (alice's metadata and
     tag travel inside his own MAC'd metadata) and sends it to the arbiter. A
     tag that is no MAC tag, or metadata JSON cannot encode, travels as None,
-    which the arbiter rejects at arb_auth_inner.
+    and so does the metadata of a message in another phase; the arbiter
+    rejects either at arb_auth_inner.
     """
-    if sigma_msg.phase != PHASE_SIGMA:
-        raise ProtocolError(f"bob_wrap expects a SIGMA message, got {sigma_msg.phase}")
     if sigma_msg.payload is None:
         raise ProtocolError("SIGMA message carries no payload")
     t = bob.config.t
+    forward_meta = sigma_msg.phase == PHASE_SIGMA and _meta_bytes(sigma_msg.meta) is not None
     link = bob.store.link("bob")
     wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, sigma_msg.payload.n), "encrypt")
     block = qauth_encode(wrapped, link.auth_key_at(0), t)
@@ -379,7 +379,7 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
         "n": bob.config.n,
         "t": t,
         "key_id": block.key_id,
-        "alice_meta": sigma_msg.meta if _meta_bytes(sigma_msg.meta) is not None else None,
+        "alice_meta": sigma_msg.meta if forward_meta else None,
         "alice_tag": _tag_fields(sigma_msg.tag),
     }
     tag = wc_tag(bob.macs["bob"], canonical_meta(meta), 0)
@@ -393,11 +393,10 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     copy. In referee mode that comparison is exact (unentangled-factor
     extraction plus fidelity, no sampling); in protocol mode it is one
     symmetric-subspace measurement, the physically implementable check.
-    Metadata that bob MAC'd but that does not name the expected keys, or
-    carries a malformed alice tag, ends in ABORT like any other failed check.
+    A message in another phase, or metadata that bob MAC'd but that does not
+    name the expected keys or carries a malformed alice tag, ends in ABORT
+    like any other failed check.
     """
-    if y_msg.phase != PHASE_Y:
-        raise ProtocolError(f"arbiter expects a Y message, got {y_msg.phase}")
     n, t = arbiter.config.n, arbiter.config.t
     bob_link = arbiter.store.link("bob")
     bob_key = bob_link.auth_key_at(0)
@@ -408,7 +407,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
         tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
         return ProtocolMessage(PHASE_ABORT, None, meta, tag)
 
-    if not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag):
+    if y_msg.phase != PHASE_Y or not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag):
         return abort("arb_auth_outer")
     if y_msg.payload is None or y_msg.payload.n != 2 * n + 2 * t or y_msg.meta.get("key_id") != bob_key.key_id:
         return abort("arb_auth_outer")
@@ -459,7 +458,8 @@ def _mac_tag(raw) -> MacTag | None:
 
 
 def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
-    """Bob's verdict: check the arbiter's MAC and traps, then read r."""
+    """Bob's verdict: check the arbiter's MAC and traps, then read r. A message
+    in neither the T_REPLY nor the ABORT phase fails at bob_auth."""
     n, t = bob.config.n, bob.config.t
     if t_msg.phase == PHASE_ABORT:
         ok = _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag)
@@ -467,9 +467,7 @@ def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
         if stage not in FAILURE_STAGES:
             stage = "abort"
         return VerdictRecord(0, False, stage, None, None)
-    if t_msg.phase != PHASE_T_REPLY:
-        raise ProtocolError(f"bob_finalize expects T_REPLY or ABORT, got {t_msg.phase}")
-    if not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
+    if t_msg.phase != PHASE_T_REPLY or not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
         return VerdictRecord(0, False, "bob_auth", None, None)
     if t_msg.payload is None or t_msg.payload.n != 2 * n + t:
         return VerdictRecord(0, False, "bob_auth", None, None)

@@ -13,7 +13,6 @@ from qsiglab.arbitrated import (
     PHASE_T_REPLY,
     PHASE_Y,
     CountingRNG,
-    ProtocolError,
     ProtocolMessage,
     SessionConfig,
     alice_sign,
@@ -193,17 +192,24 @@ def test_signing_twice_consumes_the_pad():
 
 
 def test_phase_ordering_enforced():
+    # a message in the wrong phase ends in a verdict at the receiving party's
+    # first check, never in ProtocolError
     cfg = SessionConfig(seed=108)
     parties = setup(cfg)
     psi = sample_random_pure(2, cfg.n, new_rng(2))
     sigma = alice_sign(parties.alice, psi, psi)
-    with pytest.raises(ProtocolError):
-        arbiter_adjudicate(parties.arbiter, sigma)
+    reply = arbiter_adjudicate(parties.arbiter, sigma)
+    assert reply.phase == PHASE_ABORT
+    assert reply.meta["failure_stage"] == "arb_auth_outer"
     y = bob_wrap(parties.bob, sigma)
-    with pytest.raises(ProtocolError):
-        bob_wrap(parties.bob, y)
-    with pytest.raises(ProtocolError):
-        bob_finalize(parties.bob, y)
+    assert bob_finalize(parties.bob, y).failure_stage == "bob_auth"
+    # bob forwards a non-SIGMA message without alice's metadata; a fresh bob,
+    # since wrapping twice reuses his MAC pad. The arbiter then rejects this
+    # 2(n + t)-register payload on its outer shape check.
+    fresh = setup(cfg)
+    rewrapped = bob_wrap(fresh.bob, y)
+    assert rewrapped.meta["alice_meta"] is None
+    assert arbiter_adjudicate(fresh.arbiter, rewrapped).meta["failure_stage"] == "arb_auth_outer"
 
 
 def test_message_shape_enforced():
@@ -351,12 +357,14 @@ def test_bob_malformed_metadata_aborts(rewrite, stage):
     [
         lambda msg: dataclasses.replace(msg, tag=None),
         lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
+        lambda msg: dataclasses.replace(msg, phase="RENAMED"),
     ],
-    ids=["tag_none", "meta_set"],
+    ids=["tag_none", "meta_set", "phase_renamed"],
 )
 def test_channel_garbage_ends_in_a_verdict(position, stage, mutate):
-    # a keyless channel adversary swaps the tag for None or adds a value JSON
-    # cannot encode: the receiving party rejects, never raises
+    # a keyless channel adversary swaps the tag for None, adds a value JSON
+    # cannot encode, or renames the phase: the receiving party rejects, never
+    # raises
     tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, mutate))
     assert not tr.verdict.accepted
     assert tr.verdict.failure_stage == stage
