@@ -41,6 +41,21 @@ def _reference_apply(st, gates):
     return st
 
 
+def _embed(mat, qs, m):
+    """Dense 2^m matrix of a gate on qubits qs; qubit 0 is the most significant bit."""
+    def sub(x):
+        return sum(((x >> (m - 1 - q)) & 1) << (len(qs) - 1 - k) for k, q in enumerate(qs))
+
+    rest = ~sum(1 << (m - 1 - q) for q in qs)
+    dim = 2**m
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    for r in range(dim):
+        for c in range(dim):
+            if r & rest == c & rest:
+                u[r, c] = mat[sub(r), sub(c)]
+    return u
+
+
 def _one_field_ops(m):
     """(op, gate) pairs: each op sets one field of the sampled data, and gate
     is the single gate that field stands for."""
@@ -215,11 +230,11 @@ def test_gate_vocabulary_against_dense_embeddings():
     assert {name for _, (name, _) in cases} == set(SINGLE_QUBIT) | set(TWO_QUBIT)
     for op, (name, qs) in cases:
         assert op.gates == ((name, qs),)
-        mat = SINGLE_QUBIT.get(name, TWO_QUBIT.get(name))
-        dense = apply_gate(st, GateMatrix(2, len(qs), mat), list(qs)).amps
+        dense = _embed(SINGLE_QUBIT.get(name, TWO_QUBIT.get(name)), qs, 3)
         fast = apply_clifford(st, op).amps
-        assert np.abs(fast - dense).max() < 1e-12, (name, qs)
+        assert np.abs(fast - dense @ st.amps).max() < 1e-12, (name, qs)
         assert np.abs(fast - _reference_apply(st, op.gates).amps).max() < 1e-12, (name, qs)
+        assert np.abs(op.unitary().entries - dense).max() < 1e-12, (name, qs)
 
 
 def test_unitary_cap():
