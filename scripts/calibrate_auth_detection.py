@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from qsiglab.authcrypto import AuthBlock, AuthKey, qauth_encode, qauth_verify
+from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
 from qsiglab.qsim import apply_gate, new_rng, pauli_gate, sample_random_pure
 
 
@@ -23,9 +23,8 @@ def measured_rate(p: int, t: int, trials: int, rng) -> float:
     for i in range(trials):
         payload = sample_random_pure(2, p, rng)
         key = AuthKey(int(rng.integers(0, 2**62)), f"calib:{t}:{i}")
-        block = qauth_encode(payload, key, t=t)
-        tampered = AuthBlock(apply_gate(block.state, x, [0]), p, t, key.key_id)
-        accept, _ = qauth_verify(tampered, key, rng)
+        tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
+        accept, _ = qauth_verify(tampered, key, t, rng)
         hits += accept
     return hits / trials
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .authcrypto import (
     MAC_WIDTHS,
-    AuthBlock,
     MacKey,
     MacTag,
     KeyStore,
@@ -72,10 +71,6 @@ FAILURE_STAGES = ("none", "bob_auth", "arb_auth_outer", "arb_auth_inner", "sig_c
 # phase-optimized) from the nearest Pauli-covariant behavior. Calibrated over
 # the key space; scripts/calibrate_noncommutativity.py reproduces the floors.
 NONCOMMUTATIVITY_THRESHOLD = 1.0
-
-
-class ProtocolError(RuntimeError):
-    """A message arrived with an impossible shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +175,11 @@ def _meta_bytes(meta) -> bytes | None:
         return canonical_meta(meta)
     except (TypeError, ValueError):
         return None
+
+
+def _qubit_block(payload, regs: int) -> bool:
+    """The shape check each party makes before it uses a key on a payload."""
+    return isinstance(payload, PureState) and payload.d == 2 and payload.n == regs
 
 
 def _authentic(key: MacKey, meta, tag) -> bool:
@@ -352,10 +352,11 @@ def alice_sign(alice: Party, message_state: PureState, message_copy: PureState) 
         if st.d != 2 or st.n != n:
             raise ValueError(f"message must be {n} qubit registers, got d={st.d}, n={st.n}")
     signed = apply_signing(message_state, alice.sig_ops)
-    block = qauth_encode(tensor(signed, message_copy), alice.store.link("alice").auth_key_at(0), t)
-    meta = {"phase": PHASE_SIGMA, "n": n, "t": t, "key_id": block.key_id}
+    auth_key = alice.store.link("alice").auth_key_at(0)
+    block = qauth_encode(tensor(signed, message_copy), auth_key, t)
+    meta = {"phase": PHASE_SIGMA, "n": n, "t": t, "key_id": auth_key.key_id}
     tag = wc_tag(alice.macs["alice"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_SIGMA, block.state, meta, tag)
+    return ProtocolMessage(PHASE_SIGMA, block, meta, tag)
 
 
 def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
@@ -365,25 +366,28 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
     tag travel inside his own MAC'd metadata) and sends it to the arbiter. A
     tag that is no MAC tag, or metadata JSON cannot encode, travels as None,
     and so does the metadata of a message in another phase; the arbiter
-    rejects either at arb_auth_inner.
+    rejects either at arb_auth_inner. A payload that is not 2n + t qubit
+    registers travels as None too, which the arbiter rejects at
+    arb_auth_outer.
     """
-    if sigma_msg.payload is None:
-        raise ProtocolError("SIGMA message carries no payload")
-    t = bob.config.t
+    n, t = bob.config.n, bob.config.t
     forward_meta = sigma_msg.phase == PHASE_SIGMA and _meta_bytes(sigma_msg.meta) is not None
     link = bob.store.link("bob")
-    wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, sigma_msg.payload.n), "encrypt")
-    block = qauth_encode(wrapped, link.auth_key_at(0), t)
+    auth_key = link.auth_key_at(0)
+    block = None
+    if _qubit_block(sigma_msg.payload, 2 * n + t):
+        wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, 2 * n + t), "encrypt")
+        block = qauth_encode(wrapped, auth_key, t)
     meta = {
         "phase": PHASE_Y,
-        "n": bob.config.n,
+        "n": n,
         "t": t,
-        "key_id": block.key_id,
+        "key_id": auth_key.key_id,
         "alice_meta": sigma_msg.meta if forward_meta else None,
         "alice_tag": _tag_fields(sigma_msg.tag),
     }
     tag = wc_tag(bob.macs["bob"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_Y, block.state, meta, tag)
+    return ProtocolMessage(PHASE_Y, block, meta, tag)
 
 
 def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessage:
@@ -393,9 +397,10 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     copy. In referee mode that comparison is exact (unentangled-factor
     extraction plus fidelity, no sampling); in protocol mode it is one
     symmetric-subspace measurement, the physically implementable check.
-    A message in another phase, or metadata that bob MAC'd but that does not
-    name the expected keys or carries a malformed alice tag, ends in ABORT
-    like any other failed check.
+    A message in another phase or with a payload that is not 2n + 2t qubit
+    registers, or metadata that bob MAC'd but that does not name the expected
+    keys or carries a malformed alice tag, ends in ABORT like any other failed
+    check.
     """
     n, t = arbiter.config.n, arbiter.config.t
     bob_link = arbiter.store.link("bob")
@@ -407,11 +412,11 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
         tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
         return ProtocolMessage(PHASE_ABORT, None, meta, tag)
 
-    if y_msg.phase != PHASE_Y or not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag):
+    if y_msg.phase != PHASE_Y or not _qubit_block(y_msg.payload, 2 * n + 2 * t):
         return abort("arb_auth_outer")
-    if y_msg.payload is None or y_msg.payload.n != 2 * n + 2 * t or y_msg.meta.get("key_id") != bob_key.key_id:
+    if not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag) or y_msg.meta.get("key_id") != bob_key.key_id:
         return abort("arb_auth_outer")
-    ok, inner = qauth_verify(AuthBlock(y_msg.payload, 2 * n + t, t, bob_key.key_id), bob_key, arbiter.rng)
+    ok, inner = qauth_verify(y_msg.payload, bob_key, t, arbiter.rng)
     if not ok:
         return abort("arb_auth_outer")
     unpadded = qotp(inner, bob_link.qotp_key_at(0, inner.n), "decrypt")
@@ -420,7 +425,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     alice_tag = _mac_tag(y_msg.meta.get("alice_tag"))
     if not _authentic(arbiter.macs["alice"], alice_meta, alice_tag):
         return abort("arb_auth_inner")
-    ok, core = qauth_verify(AuthBlock(unpadded, 2 * n, t, alice_key.key_id), alice_key, arbiter.rng)
+    ok, core = qauth_verify(unpadded, alice_key, t, arbiter.rng)
     if not ok:
         return abort("arb_auth_inner")
 
@@ -439,10 +444,11 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
 
     resigned = apply_signing(post, arbiter.sig_ops)
     reply_core = permute_registers(resigned, list(range(n, 2 * n)) + list(range(n)))
-    block = qauth_encode(reply_core, bob_link.auth_key_at(1), t)
-    meta = {"phase": PHASE_T_REPLY, "r": r, "n": n, "t": t, "key_id": block.key_id}
+    reply_key = bob_link.auth_key_at(1)
+    block = qauth_encode(reply_core, reply_key, t)
+    meta = {"phase": PHASE_T_REPLY, "r": r, "n": n, "t": t, "key_id": reply_key.key_id}
     tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
-    return ProtocolMessage(PHASE_T_REPLY, block.state, meta, tag)
+    return ProtocolMessage(PHASE_T_REPLY, block, meta, tag)
 
 
 def _tag_fields(tag) -> list[int] | None:
@@ -459,7 +465,8 @@ def _mac_tag(raw) -> MacTag | None:
 
 def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
     """Bob's verdict: check the arbiter's MAC and traps, then read r. A message
-    in neither the T_REPLY nor the ABORT phase fails at bob_auth."""
+    in neither the T_REPLY nor the ABORT phase, or a T_REPLY payload that is
+    not 2n + t qubit registers, fails at bob_auth."""
     n, t = bob.config.n, bob.config.t
     if t_msg.phase == PHASE_ABORT:
         ok = _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag)
@@ -467,12 +474,11 @@ def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
         if stage not in FAILURE_STAGES:
             stage = "abort"
         return VerdictRecord(0, False, stage, None, None)
-    if t_msg.phase != PHASE_T_REPLY or not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
+    if t_msg.phase != PHASE_T_REPLY or not _qubit_block(t_msg.payload, 2 * n + t):
         return VerdictRecord(0, False, "bob_auth", None, None)
-    if t_msg.payload is None or t_msg.payload.n != 2 * n + t:
+    if not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
         return VerdictRecord(0, False, "bob_auth", None, None)
-    block = AuthBlock(t_msg.payload, 2 * n, t, t_msg.meta["key_id"])
-    ok, stripped = qauth_verify(block, bob.store.link("bob").auth_key_at(1), bob.rng)
+    ok, stripped = qauth_verify(t_msg.payload, bob.store.link("bob").auth_key_at(1), t, bob.rng)
     if not ok:
         return VerdictRecord(0, False, "bob_final_auth", None, None)
     if int(t_msg.meta["r"]) != 1:

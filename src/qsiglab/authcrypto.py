@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordOp, apply_clifford, sample_clifford
-from .qsim import PureState, basis_state, derive_seed, make_state, new_rng, parity_labels, parity_measure, tensor
+from .qsim import PureState, basis_state, derive_seed, make_state, new_rng, parity_labels, tensor
 
 MAC_WIDTHS = (16, 32, 64)
 
@@ -223,21 +223,11 @@ def _shift_layer(amps: np.ndarray, d: int, n: int, shifts: np.ndarray) -> np.nda
 # trap authentication
 
 
-@dataclass(frozen=True)
-class AuthBlock:
-    """An authenticated block: n payload registers and t traps under one Clifford."""
-
-    state: PureState
-    n: int
-    t: int
-    key_id: str
-
-
 def _auth_clifford(auth_key: AuthKey, m: int) -> CliffordOp:
     return sample_clifford(m, new_rng(auth_key.seed))
 
 
-def qauth_encode(state: PureState, auth_key: AuthKey, t: int) -> AuthBlock:
+def qauth_encode(state: PureState, auth_key: AuthKey, t: int) -> PureState:
     """Append t |0> traps and scramble payload+traps with the keyed Clifford."""
     if state.d != 2:
         raise ValueError("trap authentication requires qubit registers (d = 2)")
@@ -246,33 +236,31 @@ def qauth_encode(state: PureState, auth_key: AuthKey, t: int) -> AuthBlock:
     if t == 0:
         warnings.warn("t = 0 gives an authentication block with no traps", stacklevel=2)
     block = tensor(state, basis_state(2, t, [0] * t)) if t else state
-    encoded = apply_clifford(block, _auth_clifford(auth_key, block.n))
-    return AuthBlock(encoded, state.n, t, auth_key.key_id)
+    return apply_clifford(block, _auth_clifford(auth_key, block.n))
 
 
-def qauth_verify(block: AuthBlock, auth_key: AuthKey, rng: np.random.Generator) -> tuple[bool, PureState]:
-    """Unscramble, measure every trap, accept iff all read 0; return the payload.
+def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Generator) -> tuple[bool, PureState]:
+    """Unscramble, measure the last t registers as traps, accept iff all read 0.
 
-    The payload (first n registers after unscrambling) is returned whether or
-    not the traps accept, so callers can decide what to do with a rejected
-    block. With t = 0 acceptance is vacuous.
+    Returns the payload, the first state.n - t registers after unscrambling,
+    whether or not the traps accept, so callers can decide what to do with a
+    rejected block. With t = 0 acceptance is vacuous.
+
+    The traps are read from one pass over the (payload, traps) amplitude
+    columns: trap j is drawn from its Born distribution given traps 0..j-1,
+    one rng.choice per trap, as measuring them one at a time would draw.
     """
-    if block.state.n != block.n + block.t:
-        raise ValueError(f"block claims {block.n}+{block.t} registers, state has {block.state.n}")
-    decoded = apply_clifford(block.state, _auth_clifford(auth_key, block.state.n).inverse())
-    accept = True
-    outcomes = []
-    for j in range(block.t):
-        rec = parity_measure(decoded, [1], [block.n + j], rng)
-        outcomes.append(rec.outcome)
-        decoded = rec.post_state
-        if rec.outcome != 0:
-            accept = False
-    if block.t == 0:
+    if not 0 <= t < state.n:
+        raise ValueError(f"need 0 <= t < {state.n} traps to leave a payload register, got t = {t}")
+    n = state.n - t
+    decoded = apply_clifford(state, _auth_clifford(auth_key, state.n).inverse())
+    if t == 0:
         warnings.warn("verifying an authentication block with no traps is vacuous", stacklevel=2)
         return True, decoded
+    cols = decoded.amps.reshape(2**n, 2**t)
+    weights = (np.abs(cols) ** 2).sum(axis=0)
     col = 0
-    for o in outcomes:
-        col = col * 2 + o
-    payload = decoded.amps.reshape(2**block.n, 2**block.t)[:, col]
-    return accept, make_state(2, block.n, payload)
+    for j in range(t):
+        w = weights.reshape(2**j, 2, -1)[col].sum(axis=1)
+        col = 2 * col + int(rng.choice(2, p=w / w.sum()))
+    return col == 0, make_state(2, n, cols[:, col])

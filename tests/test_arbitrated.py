@@ -193,7 +193,7 @@ def test_signing_twice_consumes_the_pad():
 
 def test_phase_ordering_enforced():
     # a message in the wrong phase ends in a verdict at the receiving party's
-    # first check, never in ProtocolError
+    # first check, never in an exception
     cfg = SessionConfig(seed=108)
     parties = setup(cfg)
     psi = sample_random_pure(2, cfg.n, new_rng(2))
@@ -204,8 +204,9 @@ def test_phase_ordering_enforced():
     y = bob_wrap(parties.bob, sigma)
     assert bob_finalize(parties.bob, y).failure_stage == "bob_auth"
     # bob forwards a non-SIGMA message without alice's metadata; a fresh bob,
-    # since wrapping twice reuses his MAC pad. The arbiter then rejects this
-    # 2(n + t)-register payload on its outer shape check.
+    # since wrapping twice reuses his MAC pad. Its 2(n + t)-register payload
+    # fails bob's shape check, so he forwards no payload, and the arbiter
+    # rejects that on its outer check.
     fresh = setup(cfg)
     rewrapped = bob_wrap(fresh.bob, y)
     assert rewrapped.meta["alice_meta"] is None
@@ -348,24 +349,38 @@ def test_bob_malformed_metadata_aborts(rewrite, stage):
     assert bob_finalize(parties.bob, reply).failure_stage == stage
 
 
+_GARBAGE = {
+    "tag_none": lambda msg: dataclasses.replace(msg, tag=None),
+    "meta_set": lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
+    "phase_renamed": lambda msg: dataclasses.replace(msg, phase="RENAMED"),
+    "payload_none": lambda msg: dataclasses.replace(msg, payload=None),
+    "qutrit_payload": lambda msg: dataclasses.replace(msg, payload=basis_state(3, msg.payload.n, [0] * msg.payload.n)),
+    "oversized_payload": lambda msg: dataclasses.replace(msg, payload=basis_state(2, 17, [0] * 17)),
+}
+_STAGE_AT = {"sigma": "arb_auth_inner", "y": "arb_auth_outer", "t_reply": "bob_auth"}
+
+
 @pytest.mark.parametrize(
-    "position, stage",
-    [("sigma", "arb_auth_inner"), ("y", "arb_auth_outer"), ("t_reply", "bob_auth")],
-)
-@pytest.mark.parametrize(
-    "mutate",
+    "garbage, position, stage",
     [
-        lambda msg: dataclasses.replace(msg, tag=None),
-        lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
-        lambda msg: dataclasses.replace(msg, phase="RENAMED"),
+        pytest.param(*case, id="-".join(case))
+        for case in [
+            *[(g, pos, _STAGE_AT[pos]) for g in ("tag_none", "meta_set", "phase_renamed") for pos in _STAGE_AT],
+            ("payload_none", "sigma", "arb_auth_outer"),
+            ("qutrit_payload", "sigma", "arb_auth_outer"),
+            ("oversized_payload", "sigma", "arb_auth_outer"),
+            ("qutrit_payload", "y", "arb_auth_outer"),
+            ("qutrit_payload", "t_reply", "bob_auth"),
+        ]
     ],
-    ids=["tag_none", "meta_set", "phase_renamed"],
 )
-def test_channel_garbage_ends_in_a_verdict(position, stage, mutate):
+def test_channel_garbage_ends_in_a_verdict(garbage, position, stage):
     # a keyless channel adversary swaps the tag for None, adds a value JSON
-    # cannot encode, or renames the phase: the receiving party rejects, never
-    # raises
-    tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, mutate))
+    # cannot encode, renames the phase, or swaps the payload for None, a
+    # qutrit state of the expected register count or a 17-qubit state: the
+    # receiving party rejects, never raises. Bob forwards a SIGMA payload of
+    # the wrong shape as no payload, which the arbiter rejects outright.
+    tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, _GARBAGE[garbage]))
     assert not tr.verdict.accepted
     assert tr.verdict.failure_stage == stage
     assert stage in FAILURE_STAGES

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qsiglab.authcrypto import (
     MAC_WIDTHS,
     _REDUCTION,
-    AuthBlock,
     AuthKey,
     MacKey,
     PadReuseError,
@@ -21,14 +20,18 @@ from qsiglab.authcrypto import (
     wc_check,
     wc_tag,
 )
+from qsiglab.arbitrated import CountingRNG
 from qsiglab.clifford import apply_clifford, pauli_from_bits, sample_clifford
 from qsiglab.qsim import (
     GateMatrix,
     apply_gate,
     basis_state,
     fidelity,
+    hadamard_gate,
     make_state,
     new_rng,
+    parity_measure,
+    phase_eighth_gate,
     reduced_density,
     sample_random_pure,
     tensor,
@@ -288,8 +291,8 @@ def test_qauth_round_trip():
     payload = sample_random_pure(2, 2, rng)
     key = AuthKey(12345, "test:auth:0")
     block = qauth_encode(payload, key, t=4)
-    assert block.state.n == 6
-    accept, recovered = qauth_verify(block, key, rng)
+    assert block.n == 6
+    accept, recovered = qauth_verify(block, key, 4, rng)
     assert accept
     assert fidelity(recovered, payload) > 1 - 1e-9
 
@@ -303,7 +306,7 @@ def test_unscrambled_block_exposes_layout():
     payload = sample_random_pure(2, 2, new_rng(21))
     key = AuthKey(2121, "layout")
     block = qauth_encode(payload, key, t=3)
-    unscrambled = apply_clifford(block.state, _scrambler(key, 5).inverse())
+    unscrambled = apply_clifford(block, _scrambler(key, 5).inverse())
     expected = tensor(payload, basis_state(2, 3, [0, 0, 0]))
     assert np.abs(unscrambled.amps - expected.amps).max() < 1e-12
 
@@ -314,9 +317,45 @@ def test_rejected_block_still_returns_payload():
     key = AuthKey(2222, "tamper")
     # a block whose second trap reads 1 once the key's Clifford is undone
     flipped = apply_clifford(tensor(payload, basis_state(2, 2, [0, 1])), _scrambler(key, 4))
-    accept, recovered = qauth_verify(AuthBlock(flipped, 2, 2, key.key_id), key, rng)
+    accept, recovered = qauth_verify(flipped, key, 2, rng)
     assert not accept
     assert fidelity(recovered, payload) > 1 - 1e-9
+
+
+def _reference_verify(state, key: AuthKey, t: int, rng):
+    """The trap readout one trap at a time: unscramble, one parity_measure
+    per trap on the renormalized post-state, then take the payload column."""
+    n = state.n - t
+    decoded = apply_clifford(state, _scrambler(key, state.n).inverse())
+    col = 0
+    for j in range(t):
+        rec = parity_measure(decoded, [1], [n + j], rng)
+        decoded = rec.post_state
+        col = 2 * col + rec.outcome
+    return col == 0, make_state(2, n, decoded.amps.reshape(2**n, 2**t)[:, col])
+
+
+@pytest.mark.parametrize("n, t", [(2, 2), (2, 4), (4, 6)])
+@pytest.mark.parametrize("kind", ["haar", "h_then_t"])
+def test_one_pass_readout_matches_trap_by_trap_reference(kind, n, t):
+    # blocks whose trap outcomes are truly random, so each trap is drawn from
+    # a nontrivial distribution given the traps before it
+    for seed in range(30):
+        key = AuthKey(7000 + seed, f"ref:{seed}")
+        src = new_rng(seed)
+        if kind == "haar":
+            block = sample_random_pure(2, n + t, src)
+        else:
+            q = seed % (n + t)
+            block = qauth_encode(sample_random_pure(2, n, src), key, t)
+            block = apply_gate(apply_gate(block, hadamard_gate(), [q]), phase_eighth_gate(1), [q])
+        ours, ref = CountingRNG(new_rng(100 + seed)), CountingRNG(new_rng(100 + seed))
+        accept, payload = qauth_verify(block, key, t, ours)
+        ref_accept, ref_payload = _reference_verify(block, key, t, ref)
+        assert accept == ref_accept
+        assert ours.draws == ref.draws == t
+        assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert np.abs(payload.amps - ref_payload.amps).max() < 1e-12
 
 
 def test_auth_key_needs_a_seed():
@@ -329,15 +368,16 @@ def test_trap_count_zero_warns():
     with pytest.warns(UserWarning):
         block = qauth_encode(payload, AuthKey(1, "k"), t=0)
     with pytest.warns(UserWarning):
-        accept, _ = qauth_verify(block, AuthKey(1, "k"), new_rng(0))
+        accept, _ = qauth_verify(block, AuthKey(1, "k"), 0, new_rng(0))
     assert accept
 
 
 def test_block_shape_mismatch_rejected():
-    payload = sample_random_pure(2, 3, new_rng(23))
-    bad = AuthBlock(payload, 2, 2, "k")
-    with pytest.raises(ValueError):
-        qauth_verify(bad, AuthKey(1, "k"), new_rng(0))
+    # t traps must leave at least one payload register
+    block = sample_random_pure(2, 3, new_rng(23))
+    for t in (3, 4, -1):
+        with pytest.raises(ValueError):
+            qauth_verify(block, AuthKey(1, "k"), t, new_rng(0))
 
 
 def test_qauth_requires_qubits():
@@ -358,9 +398,8 @@ def test_fixed_pauli_detection_rate():
     for i in range(trials):
         payload = sample_random_pure(2, n, rng)
         key = AuthKey(int(rng.integers(0, 2**62)), f"k{i}")
-        block = qauth_encode(payload, key, t=t)
-        tampered = AuthBlock(apply_gate(block.state, x, [0]), n, t, key.key_id)
-        accept, _ = qauth_verify(tampered, key, rng)
+        tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
+        accept, _ = qauth_verify(tampered, key, t, rng)
         hits += accept
     sigma = np.sqrt(p_accept * (1 - p_accept) / trials)
     assert abs(hits / trials - p_accept) < 4 * sigma + 1e-3
@@ -372,7 +411,7 @@ def test_wrong_key_rarely_accepts():
     block = qauth_encode(payload, AuthKey(111, "a"), t=6)
     hits = 0
     for i in range(50):
-        accept, _ = qauth_verify(block, AuthKey(5000 + i, "b"), rng)
+        accept, _ = qauth_verify(block, AuthKey(5000 + i, "b"), 6, rng)
         hits += accept
     assert hits <= 5  # chance level 2^-6 per trial
 
@@ -386,7 +425,7 @@ def test_payload_mixed_under_encoding_key():
     reps = 300
     for i in range(reps):
         block = qauth_encode(payload, AuthKey(i, f"k{i}"), t=2)
-        rho += reduced_density(block.state, [0])
+        rho += reduced_density(block, [0])
     rho /= reps
     assert np.abs(rho - np.eye(2) / 2).max() < 0.1
 

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, report files, scenario listing."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,8 +97,13 @@ def test_tunables_reach_the_scenario(tmp_path):
 
 
 def test_module_entry_point():
+    # the subprocess does not inherit pytest's pythonpath, so it is given src/
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qsiglab", "list-scenarios"],
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
