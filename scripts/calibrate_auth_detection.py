@@ -22,7 +22,7 @@ def measured_rate(p: int, t: int, trials: int, rng) -> float:
     hits = 0
     for i in range(trials):
         payload = sample_random_pure(2, p, rng)
-        key = AuthKey(int(rng.integers(0, 2**62)), f"calib:{t}:{i}")
+        key = AuthKey(int(rng.integers(0, 2**62)))
         tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
         accept, _ = qauth_verify(tampered, key, t, rng)
         hits += accept

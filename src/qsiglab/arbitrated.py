@@ -27,9 +27,9 @@ import numpy as np
 
 from .authcrypto import (
     MAC_WIDTHS,
+    LinkKey,
     MacKey,
     MacTag,
-    KeyStore,
     derive_keys,
     qauth_encode,
     qauth_verify,
@@ -182,11 +182,25 @@ def _qubit_block(payload, regs: int) -> bool:
     return isinstance(payload, PureState) and payload.d == 2 and payload.n == regs
 
 
-def _authentic(key: MacKey, meta, tag) -> bool:
-    """MAC check that fails, rather than raises, on a tag or metadata a
-    channel adversary replaced with something no party would send."""
+def _send(phase: str, payload: PureState | None, mac: MacKey, pad: int, **fields) -> ProtocolMessage:
+    """The message in phase carrying payload, its metadata {phase, **fields}
+    tagged under mac with pad index pad."""
+    meta = {"phase": phase, **fields}
+    return ProtocolMessage(phase, payload, meta, wc_tag(mac, canonical_meta(meta), pad))
+
+
+def _open(msg: ProtocolMessage, phase: str, mac: MacKey, regs: int | None = None) -> dict | None:
+    """The metadata of msg if it is in phase, its payload is a qubit state of
+    regs registers (when regs is given), and its metadata is a dict naming
+    that phase under a tag that checks; otherwise None. Fails, rather than
+    raises, on anything a channel adversary or a dishonest party put there."""
+    if msg.phase != phase or (regs is not None and not _qubit_block(msg.payload, regs)):
+        return None
+    meta = msg.meta
+    if not isinstance(meta, dict) or meta.get("phase") != phase or not isinstance(msg.tag, MacTag):
+        return None
     message = _meta_bytes(meta)
-    return isinstance(tag, MacTag) and message is not None and wc_check(key, message, tag)
+    return meta if message is not None and wc_check(mac, message, msg.tag) else None
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +309,8 @@ def signing_distance(n: int, sig_seed: int) -> float:
 
 @dataclass
 class Party:
-    name: str
     config: SessionConfig
-    store: KeyStore
+    links: dict[str, LinkKey]
     rng: CountingRNG
     macs: dict[str, MacKey]
     sig_ops: tuple = ()
@@ -313,32 +326,15 @@ class SessionParties:
 def setup(config: SessionConfig) -> SessionParties:
     """Deal key material: alice-arbiter and bob-arbiter links, nothing between
     alice and bob. Each party gets its own counted RNG stream."""
-    alice_store = derive_keys(config.seed, ["alice"])
-    bob_store = derive_keys(config.seed, ["bob"])
-    arb_store = derive_keys(config.seed, ["alice", "bob"])
 
-    def party_rng(name: str) -> CountingRNG:
-        return CountingRNG(new_rng(derive_seed(config.seed, "party", name)))
+    def party(name: str, roles: list[str]) -> Party:
+        links = derive_keys(config.seed, roles)
+        rng = CountingRNG(new_rng(derive_seed(config.seed, "party", name)))
+        macs = {role: link.mac_key(config.b) for role, link in links.items()}
+        sig_ops = signing_ops(config.n, links["alice"].sig_seed()) if "alice" in links else ()
+        return Party(config, links, rng, macs, sig_ops)
 
-    alice_link = alice_store.link("alice")
-    alice = Party(
-        "alice",
-        config,
-        alice_store,
-        party_rng("alice"),
-        {"alice": alice_link.mac_key(config.b)},
-        signing_ops(config.n, alice_link.sig_seed()),
-    )
-    bob = Party("bob", config, bob_store, party_rng("bob"), {"bob": bob_store.link("bob").mac_key(config.b)})
-    arbiter = Party(
-        "arbiter",
-        config,
-        arb_store,
-        party_rng("arbiter"),
-        {"alice": arb_store.link("alice").mac_key(config.b), "bob": arb_store.link("bob").mac_key(config.b)},
-        signing_ops(config.n, arb_store.link("alice").sig_seed()),
-    )
-    return SessionParties(alice, bob, arbiter)
+    return SessionParties(party("alice", ["alice"]), party("bob", ["bob"]), party("arbiter", ["alice", "bob"]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +348,8 @@ def alice_sign(alice: Party, message_state: PureState, message_copy: PureState) 
         if st.d != 2 or st.n != n:
             raise ValueError(f"message must be {n} qubit registers, got d={st.d}, n={st.n}")
     signed = apply_signing(message_state, alice.sig_ops)
-    auth_key = alice.store.link("alice").auth_key_at(0)
-    block = qauth_encode(tensor(signed, message_copy), auth_key, t)
-    meta = {"phase": PHASE_SIGMA, "n": n, "t": t, "key_id": auth_key.key_id}
-    tag = wc_tag(alice.macs["alice"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_SIGMA, block, meta, tag)
+    block = qauth_encode(tensor(signed, message_copy), alice.links["alice"].auth_key_at(0), t)
+    return _send(PHASE_SIGMA, block, alice.macs["alice"], 0)
 
 
 def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
@@ -372,22 +365,13 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
     """
     n, t = bob.config.n, bob.config.t
     forward_meta = sigma_msg.phase == PHASE_SIGMA and _meta_bytes(sigma_msg.meta) is not None
-    link = bob.store.link("bob")
-    auth_key = link.auth_key_at(0)
+    link = bob.links["bob"]
     block = None
     if _qubit_block(sigma_msg.payload, 2 * n + t):
         wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, 2 * n + t), "encrypt")
-        block = qauth_encode(wrapped, auth_key, t)
-    meta = {
-        "phase": PHASE_Y,
-        "n": n,
-        "t": t,
-        "key_id": auth_key.key_id,
-        "alice_meta": sigma_msg.meta if forward_meta else None,
-        "alice_tag": _tag_fields(sigma_msg.tag),
-    }
-    tag = wc_tag(bob.macs["bob"], canonical_meta(meta), 0)
-    return ProtocolMessage(PHASE_Y, block, meta, tag)
+        block = qauth_encode(wrapped, link.auth_key_at(0), t)
+    alice_meta = sigma_msg.meta if forward_meta else None
+    return _send(PHASE_Y, block, bob.macs["bob"], 0, alice_meta=alice_meta, alice_tag=_tag_fields(sigma_msg.tag))
 
 
 def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessage:
@@ -397,35 +381,30 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     copy. In referee mode that comparison is exact (unentangled-factor
     extraction plus fidelity, no sampling); in protocol mode it is one
     symmetric-subspace measurement, the physically implementable check.
-    A message in another phase or with a payload that is not 2n + 2t qubit
-    registers, or metadata that bob MAC'd but that does not name the expected
-    keys or carries a malformed alice tag, ends in ABORT like any other failed
-    check.
+    A message that fails the open check of the outer (bob's) or the inner
+    (alice's) wrapping ends in ABORT like any other failed check: one in
+    another phase, with a payload that is not 2n + 2t qubit registers, or
+    with metadata bob MAC'd that is no dict or carries a malformed alice tag.
     """
     n, t = arbiter.config.n, arbiter.config.t
-    bob_link = arbiter.store.link("bob")
-    bob_key = bob_link.auth_key_at(0)
-    alice_key = arbiter.store.link("alice").auth_key_at(0)
+    bob_link = arbiter.links["bob"]
+    bob_mac = arbiter.macs["bob"]
 
     def abort(stage: str) -> ProtocolMessage:
-        meta = {"phase": PHASE_ABORT, "failure_stage": stage}
-        tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
-        return ProtocolMessage(PHASE_ABORT, None, meta, tag)
+        return _send(PHASE_ABORT, None, bob_mac, 1, failure_stage=stage)
 
-    if y_msg.phase != PHASE_Y or not _qubit_block(y_msg.payload, 2 * n + 2 * t):
+    meta = _open(y_msg, PHASE_Y, bob_mac, 2 * n + 2 * t)
+    if meta is None:
         return abort("arb_auth_outer")
-    if not _authentic(arbiter.macs["bob"], y_msg.meta, y_msg.tag) or y_msg.meta.get("key_id") != bob_key.key_id:
-        return abort("arb_auth_outer")
-    ok, inner = qauth_verify(y_msg.payload, bob_key, t, arbiter.rng)
+    ok, inner = qauth_verify(y_msg.payload, bob_link.auth_key_at(0), t, arbiter.rng)
     if not ok:
         return abort("arb_auth_outer")
     unpadded = qotp(inner, bob_link.qotp_key_at(0, inner.n), "decrypt")
 
-    alice_meta = y_msg.meta.get("alice_meta")
-    alice_tag = _mac_tag(y_msg.meta.get("alice_tag"))
-    if not _authentic(arbiter.macs["alice"], alice_meta, alice_tag):
+    sigma = ProtocolMessage(PHASE_SIGMA, None, meta.get("alice_meta"), _mac_tag(meta.get("alice_tag")))
+    if _open(sigma, PHASE_SIGMA, arbiter.macs["alice"]) is None:
         return abort("arb_auth_inner")
-    ok, core = qauth_verify(unpadded, alice_key, t, arbiter.rng)
+    ok, core = qauth_verify(unpadded, arbiter.links["alice"].auth_key_at(0), t, arbiter.rng)
     if not ok:
         return abort("arb_auth_inner")
 
@@ -444,11 +423,8 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
 
     resigned = apply_signing(post, arbiter.sig_ops)
     reply_core = permute_registers(resigned, list(range(n, 2 * n)) + list(range(n)))
-    reply_key = bob_link.auth_key_at(1)
-    block = qauth_encode(reply_core, reply_key, t)
-    meta = {"phase": PHASE_T_REPLY, "r": r, "n": n, "t": t, "key_id": reply_key.key_id}
-    tag = wc_tag(arbiter.macs["bob"], canonical_meta(meta), 1)
-    return ProtocolMessage(PHASE_T_REPLY, block, meta, tag)
+    block = qauth_encode(reply_core, bob_link.auth_key_at(1), t)
+    return _send(PHASE_T_REPLY, block, bob_mac, 1, r=r)
 
 
 def _tag_fields(tag) -> list[int] | None:
@@ -457,10 +433,9 @@ def _tag_fields(tag) -> list[int] | None:
 
 
 def _mac_tag(raw) -> MacTag | None:
-    """The tag a [value, width, pad_index] list names, or None if malformed."""
-    if not (isinstance(raw, list) and len(raw) == 3 and all(isinstance(v, int) for v in raw) and raw[2] >= 0):
-        return None
-    return MacTag(*raw)
+    """The tag a [value, width, pad_index] list names, or None for anything
+    else; wc_check rejects a tag whose fields are no valid width and pad."""
+    return MacTag(*raw) if isinstance(raw, list) and len(raw) == 3 else None
 
 
 def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
@@ -469,19 +444,15 @@ def bob_finalize(bob: Party, t_msg: ProtocolMessage) -> VerdictRecord:
     not 2n + t qubit registers, fails at bob_auth."""
     n, t = bob.config.n, bob.config.t
     if t_msg.phase == PHASE_ABORT:
-        ok = _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag)
-        stage = t_msg.meta.get("failure_stage", "abort") if ok else "abort"
-        if stage not in FAILURE_STAGES:
-            stage = "abort"
-        return VerdictRecord(0, False, stage, None, None)
-    if t_msg.phase != PHASE_T_REPLY or not _qubit_block(t_msg.payload, 2 * n + t):
+        stage = (_open(t_msg, PHASE_ABORT, bob.macs["bob"]) or {}).get("failure_stage")
+        return VerdictRecord(0, False, stage if stage in FAILURE_STAGES else "abort", None, None)
+    meta = _open(t_msg, PHASE_T_REPLY, bob.macs["bob"], 2 * n + t)
+    if meta is None:
         return VerdictRecord(0, False, "bob_auth", None, None)
-    if not _authentic(bob.macs["bob"], t_msg.meta, t_msg.tag):
-        return VerdictRecord(0, False, "bob_auth", None, None)
-    ok, stripped = qauth_verify(t_msg.payload, bob.store.link("bob").auth_key_at(1), t, bob.rng)
+    ok, stripped = qauth_verify(t_msg.payload, bob.links["bob"].auth_key_at(1), t, bob.rng)
     if not ok:
         return VerdictRecord(0, False, "bob_final_auth", None, None)
-    if int(t_msg.meta["r"]) != 1:
+    if meta.get("r") != 1:
         return VerdictRecord(0, False, "sig_check", None, None)
     try:
         recovered, _ = extract_factor(stripped, list(range(n)))

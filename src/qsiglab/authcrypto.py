@@ -47,7 +47,6 @@ class AuthKey:
     """Seed selecting the trap-scrambling Clifford."""
 
     seed: int
-    key_id: str
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -92,7 +91,7 @@ class LinkKey:
         return rng.integers(0, d, size=(n_regs, 2))
 
     def auth_key_at(self, index: int) -> AuthKey:
-        return AuthKey(derive_seed(self.seed, "auth", index), f"{self.role}:auth:{index}")
+        return AuthKey(derive_seed(self.seed, "auth", index))
 
     def mac_key(self, width: int) -> MacKey:
         return MacKey(width, derive_seed(self.seed, "mac", width))
@@ -101,24 +100,11 @@ class LinkKey:
         return derive_seed(self.seed, "sig")
 
 
-@dataclass
-class KeyStore:
-    """Key links one party holds, one per counterpart role."""
-
-    links: dict[str, LinkKey]
-
-    def link(self, role: str) -> LinkKey:
-        if role not in self.links:
-            raise KeyError(f"no key link for role {role!r}")
-        return self.links[role]
-
-
-def derive_keys(master_seed: int, roles: list[str]) -> KeyStore:
+def derive_keys(master_seed: int, roles: list[str]) -> dict[str, LinkKey]:
     """Derive independent link keys for each role from one master seed."""
     if len(set(roles)) != len(roles):
         raise ValueError(f"duplicate roles in {roles}")
-    links = {role: LinkKey(role, derive_seed(master_seed, "link", role)) for role in roles}
-    return KeyStore(links)
+    return {role: LinkKey(role, derive_seed(master_seed, "link", role)) for role in roles}
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +156,9 @@ def wc_tag(key: MacKey, message: bytes, pad_index: int) -> MacTag:
 
 
 def wc_check(key: MacKey, message: bytes, tag: MacTag) -> bool:
-    """Verify a tag. Does not consume the pad: checking is free, tagging is not."""
-    if tag.width != key.width:
+    """Verify a tag. Does not consume the pad: checking is free, tagging is not.
+    A tag of another width or whose pad index is not a nonnegative int fails."""
+    if tag.width != key.width or not (isinstance(tag.pad_index, int) and tag.pad_index >= 0):
         return False
     return tag.value == (_wc_hash(key, message) ^ key.pad(tag.pad_index))
 

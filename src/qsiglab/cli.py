@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .attacks import SCENARIOS, Scenario, canonical_report_json, regime_check, run_scenario
+from .attacks import SCENARIOS, Scenario, adversary_catalog, canonical_report_json, regime_check, run_scenario
 
 _TUNABLE = ("d", "k", "n", "t", "b", "mode", "position")
 
@@ -54,10 +54,9 @@ def _report_path(args: argparse.Namespace) -> str | None:
 
 def execute(args: argparse.Namespace) -> int:
     if args.command == "list-scenarios":
-        for name in sorted(SCENARIOS):
-            spec = SCENARIOS[name]
-            defaults = " ".join(f"{k}={v}" for k, v in sorted(spec.defaults.items()))
-            print(f"{name}\n    {spec.description}\n    adversary: {spec.key_access}\n    defaults: {defaults}")
+        for name, entry in sorted(adversary_catalog().items()):
+            defaults = " ".join(f"{k}={v}" for k, v in sorted(entry["defaults"].items()))
+            print(f"{name}\n    {entry['description']}\n    adversary: {entry['key_access']}\n    defaults: {defaults}")
         return 0
 
     spec = SCENARIOS[args.scenario]

@@ -72,10 +72,6 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
 
 @dataclass(frozen=True)
 class GateMatrix:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsiglab.arbitrated import (
     FAILURE_STAGES,
@@ -28,7 +30,7 @@ from qsiglab.arbitrated import (
     signing_ops,
     signing_unitary,
 )
-from qsiglab.authcrypto import PadReuseError, wc_tag
+from qsiglab.authcrypto import MacTag, PadReuseError, wc_tag
 from qsiglab.qsim import (
     apply_gate,
     basis_state,
@@ -241,7 +243,7 @@ def _x_tamper(msg: ProtocolMessage) -> ProtocolMessage:
 
 
 def _meta_tamper(msg: ProtocolMessage) -> ProtocolMessage:
-    return dataclasses.replace(msg, meta={**msg.meta, "key_id": "evil"})
+    return dataclasses.replace(msg, meta={**msg.meta, "forged": "evil"})
 
 
 def _hook(position, mutate):
@@ -319,19 +321,15 @@ def test_unknown_abort_stage_collapses_to_abort():
     assert not verdict.accepted
 
 
-def _drop_key_id(meta):
-    return {k: v for k, v in meta.items() if k != "key_id"}
-
-
 @pytest.mark.parametrize(
     "rewrite, stage",
     [
         (lambda meta: {**meta, "alice_tag": [*meta["alice_tag"][:2], -1]}, "arb_auth_inner"),
         (lambda meta: {**meta, "alice_tag": meta["alice_tag"][:2]}, "arb_auth_inner"),
         (lambda meta: {**meta, "alice_tag": "not a tag"}, "arb_auth_inner"),
-        (_drop_key_id, "arb_auth_outer"),
+        (lambda meta: [1, 2], "arb_auth_outer"),
     ],
-    ids=["negative_pad_index", "two_element_tag", "non_list_tag", "missing_key_id"],
+    ids=["negative_pad_index", "two_element_tag", "non_list_tag", "list_meta"],
 )
 def test_bob_malformed_metadata_aborts(rewrite, stage):
     # a dishonest bob MACs malformed Y metadata under his own key: the arbiter
@@ -351,6 +349,7 @@ def test_bob_malformed_metadata_aborts(rewrite, stage):
 
 _GARBAGE = {
     "tag_none": lambda msg: dataclasses.replace(msg, tag=None),
+    "tag_negative_pad": lambda msg: dataclasses.replace(msg, tag=MacTag(0, 16, -1)),
     "meta_set": lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
     "phase_renamed": lambda msg: dataclasses.replace(msg, phase="RENAMED"),
     "payload_none": lambda msg: dataclasses.replace(msg, payload=None),
@@ -365,7 +364,11 @@ _STAGE_AT = {"sigma": "arb_auth_inner", "y": "arb_auth_outer", "t_reply": "bob_a
     [
         pytest.param(*case, id="-".join(case))
         for case in [
-            *[(g, pos, _STAGE_AT[pos]) for g in ("tag_none", "meta_set", "phase_renamed") for pos in _STAGE_AT],
+            *[
+                (g, pos, _STAGE_AT[pos])
+                for g in ("tag_none", "tag_negative_pad", "meta_set", "phase_renamed")
+                for pos in _STAGE_AT
+            ],
             ("payload_none", "sigma", "arb_auth_outer"),
             ("qutrit_payload", "sigma", "arb_auth_outer"),
             ("oversized_payload", "sigma", "arb_auth_outer"),
@@ -375,15 +378,75 @@ _STAGE_AT = {"sigma": "arb_auth_inner", "y": "arb_auth_outer", "t_reply": "bob_a
     ],
 )
 def test_channel_garbage_ends_in_a_verdict(garbage, position, stage):
-    # a keyless channel adversary swaps the tag for None, adds a value JSON
-    # cannot encode, renames the phase, or swaps the payload for None, a
-    # qutrit state of the expected register count or a 17-qubit state: the
-    # receiving party rejects, never raises. Bob forwards a SIGMA payload of
-    # the wrong shape as no payload, which the arbiter rejects outright.
+    # a keyless channel adversary swaps the tag for None or for one with a
+    # negative pad index, adds a value JSON cannot encode, renames the phase,
+    # or swaps the payload for None, a qutrit state of the expected register
+    # count or a 17-qubit state: the receiving party rejects, never raises.
+    # Bob forwards a SIGMA payload of the wrong shape as no payload, which the
+    # arbiter rejects outright.
     tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, _GARBAGE[garbage]))
     assert not tr.verdict.accepted
     assert tr.verdict.failure_stage == stage
     assert stage in FAILURE_STAGES
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hostile_messages_end_in_a_verdict(data):
+    # one or two fields of one message rewritten in flight with whatever a
+    # channel could put there: every session still ends in a declared stage.
+    # The other fields stay honest, so the checks behind the first are reached.
+    position = data.draw(st.sampled_from(sorted(_STAGE_AT)), label="position")
+    names = st.sampled_from(["payload", "meta", "tag", "phase"])
+    rewritten = data.draw(st.lists(names, min_size=1, max_size=2, unique=True), label="rewritten")
+
+    def field(name, honest, hostile):
+        return data.draw(hostile, label=name) if name in rewritten else honest
+
+    def rewrite(msg):
+        n = msg.payload.n
+        payload = field(
+            "payload",
+            msg.payload,
+            st.one_of(
+                st.none(),
+                st.builds(lambda: basis_state(3, n, [0] * n)),
+                st.builds(lambda: basis_state(2, n + 1, [0] * (n + 1))),
+            ),
+        )
+        meta = field(
+            "meta",
+            msg.meta,
+            st.one_of(
+                st.dictionaries(st.text(max_size=8), _JSON, max_size=4),
+                st.lists(_JSON, max_size=3),
+                st.none(),
+                st.just({**msg.meta, "extra": {1, 2}}),
+            ),
+        )
+        tag = field(
+            "tag",
+            msg.tag,
+            st.one_of(
+                st.none(),
+                # the key's width, so a random value and pad index reach the check
+                st.builds(MacTag, st.integers(), st.just(msg.tag.width), st.integers(-4, 4)),
+                st.lists(st.integers(), max_size=4),
+            ),
+        )
+        phases = [PHASE_SIGMA, PHASE_Y, PHASE_T_REPLY, PHASE_ABORT, "RENAMED"]
+        phase = field("phase", msg.phase, st.sampled_from(phases))
+        return ProtocolMessage(phase, payload, meta, tag)
+
+    tr = run_session(SessionConfig(seed=134), adversary_hook=_hook(position, rewrite))
+    assert tr.verdict.failure_stage in FAILURE_STAGES
 
 
 def test_wrong_shape_reply_is_bob_auth():

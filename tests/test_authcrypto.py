@@ -45,15 +45,15 @@ from qsiglab.qsim import (
 def test_derive_keys_deterministic():
     a = derive_keys(7, ["alice", "bob"])
     b = derive_keys(7, ["alice", "bob"])
-    assert a.link("alice").seed == b.link("alice").seed
-    assert a.link("bob").seed == b.link("bob").seed
+    assert a["alice"].seed == b["alice"].seed
+    assert a["bob"].seed == b["bob"].seed
 
 
 def test_links_are_role_separated():
-    store = derive_keys(7, ["alice", "bob"])
-    assert store.link("alice").seed != store.link("bob").seed
+    links = derive_keys(7, ["alice", "bob"])
+    assert links["alice"].seed != links["bob"].seed
     with pytest.raises(KeyError):
-        store.link("charlie")
+        links["charlie"]
 
 
 def test_duplicate_roles_rejected():
@@ -62,11 +62,10 @@ def test_duplicate_roles_rejected():
 
 
 def test_indexed_lookups_are_stable_and_distinct():
-    link = derive_keys(3, ["a"]).link("a")
+    link = derive_keys(3, ["a"])["a"]
     k0, k1 = link.auth_key_at(0), link.auth_key_at(1)
     assert k0 == link.auth_key_at(0)
     assert k0.seed != k1.seed
-    assert k0.key_id == "a:auth:0"
     q0 = link.qotp_key_at(0, 4)
     assert np.array_equal(q0, link.qotp_key_at(0, 4))
     assert not np.array_equal(q0, link.qotp_key_at(1, 4))
@@ -74,8 +73,8 @@ def test_indexed_lookups_are_stable_and_distinct():
 
 def test_counterpart_rederives_same_material():
     # the same (role, seed) pair on the other side of the link sees identical keys
-    left = derive_keys(11, ["peer"]).link("peer")
-    right = derive_keys(11, ["peer"]).link("peer")
+    left = derive_keys(11, ["peer"])["peer"]
+    right = derive_keys(11, ["peer"])["peer"]
     assert np.array_equal(left.qotp_key_at(0, 3), right.qotp_key_at(0, 3))
     assert left.mac_key(16).point == right.mac_key(16).point
     assert left.sig_seed() == right.sig_seed()
@@ -217,6 +216,13 @@ def test_tampered_tag_value_rejected():
     assert not wc_check(key, b"msg", bad)
 
 
+def test_negative_pad_index_rejected():
+    # a channel can hand over any tag; checking one never raises
+    key = MacKey(16, 9)
+    tag = wc_tag(key, b"msg", 0)
+    assert not wc_check(key, b"msg", dataclasses.replace(tag, pad_index=-1))
+
+
 def test_message_block_cap():
     key = MacKey(16, 10)
     with pytest.raises(ValueError):
@@ -289,7 +295,7 @@ def test_qotp_exhaustive_key_average_is_maximally_mixed(d):
 def test_qauth_round_trip():
     rng = new_rng(20)
     payload = sample_random_pure(2, 2, rng)
-    key = AuthKey(12345, "test:auth:0")
+    key = AuthKey(12345)
     block = qauth_encode(payload, key, t=4)
     assert block.n == 6
     accept, recovered = qauth_verify(block, key, 4, rng)
@@ -304,7 +310,7 @@ def _scrambler(key: AuthKey, m: int):
 
 def test_unscrambled_block_exposes_layout():
     payload = sample_random_pure(2, 2, new_rng(21))
-    key = AuthKey(2121, "layout")
+    key = AuthKey(2121)
     block = qauth_encode(payload, key, t=3)
     unscrambled = apply_clifford(block, _scrambler(key, 5).inverse())
     expected = tensor(payload, basis_state(2, 3, [0, 0, 0]))
@@ -314,7 +320,7 @@ def test_unscrambled_block_exposes_layout():
 def test_rejected_block_still_returns_payload():
     rng = new_rng(22)
     payload = sample_random_pure(2, 2, rng)
-    key = AuthKey(2222, "tamper")
+    key = AuthKey(2222)
     # a block whose second trap reads 1 once the key's Clifford is undone
     flipped = apply_clifford(tensor(payload, basis_state(2, 2, [0, 1])), _scrambler(key, 4))
     accept, recovered = qauth_verify(flipped, key, 2, rng)
@@ -341,7 +347,7 @@ def test_one_pass_readout_matches_trap_by_trap_reference(kind, n, t):
     # blocks whose trap outcomes are truly random, so each trap is drawn from
     # a nontrivial distribution given the traps before it
     for seed in range(30):
-        key = AuthKey(7000 + seed, f"ref:{seed}")
+        key = AuthKey(7000 + seed)
         src = new_rng(seed)
         if kind == "haar":
             block = sample_random_pure(2, n + t, src)
@@ -360,15 +366,15 @@ def test_one_pass_readout_matches_trap_by_trap_reference(kind, n, t):
 
 def test_auth_key_needs_a_seed():
     with pytest.raises(TypeError):
-        AuthKey(None, "unseeded")
+        AuthKey(None)
 
 
 def test_trap_count_zero_warns():
     payload = basis_state(2, 1, [0])
     with pytest.warns(UserWarning):
-        block = qauth_encode(payload, AuthKey(1, "k"), t=0)
+        block = qauth_encode(payload, AuthKey(1), t=0)
     with pytest.warns(UserWarning):
-        accept, _ = qauth_verify(block, AuthKey(1, "k"), 0, new_rng(0))
+        accept, _ = qauth_verify(block, AuthKey(1), 0, new_rng(0))
     assert accept
 
 
@@ -377,14 +383,14 @@ def test_block_shape_mismatch_rejected():
     block = sample_random_pure(2, 3, new_rng(23))
     for t in (3, 4, -1):
         with pytest.raises(ValueError):
-            qauth_verify(block, AuthKey(1, "k"), t, new_rng(0))
+            qauth_verify(block, AuthKey(1), t, new_rng(0))
 
 
 def test_qauth_requires_qubits():
     with pytest.raises(ValueError):
-        qauth_encode(basis_state(3, 1, [0]), AuthKey(1, "k"), t=2)
+        qauth_encode(basis_state(3, 1, [0]), AuthKey(1), t=2)
     with pytest.raises(ValueError):
-        qauth_encode(basis_state(2, 1, [0]), AuthKey(1, "k"), t=-1)
+        qauth_encode(basis_state(2, 1, [0]), AuthKey(1), t=-1)
 
 
 def test_fixed_pauli_detection_rate():
@@ -397,7 +403,7 @@ def test_fixed_pauli_detection_rate():
     hits = 0
     for i in range(trials):
         payload = sample_random_pure(2, n, rng)
-        key = AuthKey(int(rng.integers(0, 2**62)), f"k{i}")
+        key = AuthKey(int(rng.integers(0, 2**62)))
         tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
         accept, _ = qauth_verify(tampered, key, t, rng)
         hits += accept
@@ -408,10 +414,10 @@ def test_fixed_pauli_detection_rate():
 def test_wrong_key_rarely_accepts():
     rng = new_rng(25)
     payload = sample_random_pure(2, 2, rng)
-    block = qauth_encode(payload, AuthKey(111, "a"), t=6)
+    block = qauth_encode(payload, AuthKey(111), t=6)
     hits = 0
     for i in range(50):
-        accept, _ = qauth_verify(block, AuthKey(5000 + i, "b"), 6, rng)
+        accept, _ = qauth_verify(block, AuthKey(5000 + i), 6, rng)
         hits += accept
     assert hits <= 5  # chance level 2^-6 per trial
 
@@ -424,7 +430,7 @@ def test_payload_mixed_under_encoding_key():
     rho = np.zeros((2, 2), dtype=np.complex128)
     reps = 300
     for i in range(reps):
-        block = qauth_encode(payload, AuthKey(i, f"k{i}"), t=2)
+        block = qauth_encode(payload, AuthKey(i), t=2)
         rho += reduced_density(block, [0])
     rho /= reps
     assert np.abs(rho - np.eye(2) / 2).max() < 0.1

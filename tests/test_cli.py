@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qsiglab import cli
-from qsiglab.attacks import SCENARIOS, Scenario, canonical_report_json, run_scenario
+from qsiglab.attacks import SCENARIOS, Scenario, adversary_catalog, canonical_report_json, run_scenario
 
 
 def test_no_arguments_prints_help_and_exits_2(capsys):
@@ -25,8 +25,11 @@ def test_missing_required_flag_is_usage_error():
 def test_list_scenarios_names_everything(capsys):
     assert cli.main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
-    for name in SCENARIOS:
-        assert name in out
+    assert set(adversary_catalog()) == set(SCENARIOS)
+    for name, entry in adversary_catalog().items():
+        defaults = " ".join(f"{k}={v}" for k, v in sorted(entry["defaults"].items()))
+        block = f"{name}\n    {entry['description']}\n    adversary: {entry['key_access']}\n    defaults: {defaults}\n"
+        assert block in out
 
 
 def test_run_success_summary(capsys, monkeypatch):
