@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Run the trial benchmark in one checkout and add a labelled record to a BENCH file.
+
+    python3 scripts/bench_record.py --label parent --checkout ../parent --seed 3
+    python3 scripts/bench_record.py --label change --checkout . --seed 3 --out BENCH_9.json
+
+A record holds the checkout's git sha, the machine (nproc, Python and numpy
+versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
+metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
+``qsigbench/run.py --trace 1`` and fixed-size kernel timings. The benchmark
+and the kernels run as subprocesses on the checkout's own ``src/`` and
+``qsigbench/``, so one copy of this script records any checkout. A full
+record takes about five minutes on a 2-core machine.
+
+``--kernels CHECKOUT`` only prints the kernel timings of that checkout as
+JSON; the full record runs it in a single-threaded subprocess.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SINGLE_THREAD = {
+    name: "1"
+    for name in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    )
+}
+
+
+def _median_ms(fn, reps: int) -> float:
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def kernel_timings(checkout: Path) -> dict:
+    """Median wall ms of fixed-size kernel calls on the checkout's qsiglab,
+    plus the median calibration time of its qsigbench/calib.py."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "qsigbench")]
+    import calib
+    import numpy as np
+    from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
+    from qsiglab.clifford import apply_clifford, sample_clifford
+    from qsiglab.qsim import new_rng, parity_measure, sample_random_pure
+
+    out = {"numpy": np.__version__, "calibration_ms": statistics.median(calib.calibrate() for _ in range(21)) * 1e3}
+    # four sampled ops and their inverses, each timed on one random state
+    for m, reps in ((10, 20), (12, 10), (16, 5)):
+        st = sample_random_pure(2, m, new_rng(m))
+        ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
+        times = [_median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())]
+        out[f"apply_clifford_m{m}_ms"] = statistics.median(times)
+    # the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
+    for t in (4, 6):
+        key = AuthKey(t)
+        block = qauth_encode(sample_random_pure(2, 4 + t, new_rng(t)), key, t)
+        out[f"qauth_verify_t{t}_ms"] = _median_ms(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
+    # the size of truesig's omega-pair check at d = 7, k = 3
+    st = sample_random_pure(7, 5, new_rng(7))
+    out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)
+    return out
+
+
+def _bench(checkout: Path, seed: int, trace: int) -> dict:
+    """Per-workload results of one qsigbench/run.py run over every workload."""
+    proc = subprocess.run(
+        [sys.executable, "qsigbench/run.py", "--seed", str(seed), "--trace", str(trace)],
+        cwd=checkout,
+        stdout=subprocess.PIPE,
+        text=True,
+        check=False,
+    )
+    if proc.returncode == 2:
+        raise RuntimeError(f"qsigbench/run.py --trace {trace} could not run in {checkout}")
+    results = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith('{"workload"'):
+            res = json.loads(line)
+            results[res.pop("workload")] = res
+    return results
+
+
+def _git(checkout: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def record(label: str, checkout: Path, seed: int) -> dict:
+    env = {**os.environ, **SINGLE_THREAD}
+    kernels = subprocess.run(
+        [sys.executable, __file__, "--kernels", str(checkout)], env=env, stdout=subprocess.PIPE, text=True, check=True
+    )
+    kern = json.loads(kernels.stdout)
+    untraced, traced = _bench(checkout, seed, 0), _bench(checkout, seed, 1)
+    return {
+        "label": label,
+        "sha": _git(checkout, "rev-parse", "HEAD"),
+        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        "seed": seed,
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": kern.pop("numpy"),
+        "calibration_ms": kern.pop("calibration_ms"),
+        "correct": all(r["correct"] for r in (*untraced.values(), *traced.values())),
+        "operations": {w: {"attempted": r["attempted"], "failed": r["failed"]} for w, r in untraced.items()},
+        "end_to_end": {w: {k: m["value"] for k, m in r["metrics"].items()} for w, r in untraced.items()},
+        "per_layer": {w: {k: m["value"] for k, m in r["metrics"].items()} for w, r in traced.items()},
+        "kernels_ms": kern,
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", help="name of the record, such as parent or change")
+    ap.add_argument("--checkout", type=Path, default=ROOT, help="tree to benchmark (default: this one)")
+    ap.add_argument("--seed", type=int, default=0, help="workload seed passed to qsigbench/run.py")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json", help="BENCH file to add the record to")
+    ap.add_argument("--kernels", type=Path, metavar="CHECKOUT", help="only print CHECKOUT's kernel timings")
+    args = ap.parse_args()
+    if args.kernels:
+        print(json.dumps(kernel_timings(args.kernels.resolve())))
+        return 0
+    if not args.label:
+        ap.error("--label is required")
+    rec = record(args.label, args.checkout.resolve(), args.seed)
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
+    bench["records"].append(rec)
+    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"{args.label}: {rec['sha']} correct={rec['correct']}, {len(bench['records'])} records in {args.out}")
+    return 0 if rec["correct"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

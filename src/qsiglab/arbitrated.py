@@ -31,6 +31,7 @@ from .authcrypto import (
     MacKey,
     MacTag,
     derive_keys,
+    mac_capacity,
     qauth_encode,
     qauth_verify,
     qotp,
@@ -139,13 +140,16 @@ class VerdictRecord:
 
 @dataclass
 class Transcript:
+    """A session's events, verdict and message. Each event keeps the payload
+    state it saw, which is read-only, and json_lines() logs its digest."""
+
     config: SessionConfig
     events: list[dict]
     verdict: VerdictRecord
     message: PureState
 
     def json_lines(self) -> str:
-        lines = [_canon_json({"type": "event", **e}) for e in self.events]
+        lines = [_canon_json(_event_record(**e)) for e in self.events]
         lines.append(
             _canon_json(
                 {
@@ -160,6 +164,11 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
+def _event_record(event: str, party: str, payload: PureState | None, rng_draws: int) -> dict:
+    digest = state_digest(payload) if payload is not None else ""
+    return {"type": "event", "event": event, "party": party, "digest": digest, "rng_draws": rng_draws}
+
+
 def _canon_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -169,12 +178,14 @@ def canonical_meta(meta: dict) -> bytes:
     return _canon_json(meta).encode("utf-8")
 
 
-def _meta_bytes(meta) -> bytes | None:
-    """canonical_meta, or None for metadata JSON cannot encode."""
+def _meta_bytes(meta, mac: MacKey) -> bytes | None:
+    """canonical_meta, or None for metadata JSON cannot encode or that is
+    too long for one tag under mac."""
     try:
-        return canonical_meta(meta)
-    except (TypeError, ValueError):
+        message = canonical_meta(meta)
+    except (TypeError, ValueError, RecursionError):
         return None
+    return message if len(message) <= mac_capacity(mac.width) else None
 
 
 def _qubit_block(payload, regs: int) -> bool:
@@ -199,7 +210,7 @@ def _open(msg: ProtocolMessage, phase: str, mac: MacKey, regs: int | None = None
     meta = msg.meta
     if not isinstance(meta, dict) or meta.get("phase") != phase or not isinstance(msg.tag, MacTag):
         return None
-    message = _meta_bytes(meta)
+    message = _meta_bytes(meta, mac)
     return meta if message is not None and wc_check(mac, message, msg.tag) else None
 
 
@@ -357,21 +368,24 @@ def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
 
     Bob cannot check anything yet; he binds what he saw (alice's metadata and
     tag travel inside his own MAC'd metadata) and sends it to the arbiter. A
-    tag that is no MAC tag, or metadata JSON cannot encode, travels as None,
-    and so does the metadata of a message in another phase; the arbiter
-    rejects either at arb_auth_inner. A payload that is not 2n + t qubit
-    registers travels as None too, which the arbiter rejects at
-    arb_auth_outer.
+    tag that is no MAC tag travels as None, and so does the metadata of a
+    message in another phase. When what he saw cannot go under his MAC (JSON
+    cannot encode it, or it is too long for one tag), both travel as None.
+    The arbiter rejects any of these at arb_auth_inner. A payload that is
+    not 2n + t qubit registers travels as None too, which the arbiter
+    rejects at arb_auth_outer.
     """
     n, t = bob.config.n, bob.config.t
-    forward_meta = sigma_msg.phase == PHASE_SIGMA and _meta_bytes(sigma_msg.meta) is not None
-    link = bob.links["bob"]
+    link, mac = bob.links["bob"], bob.macs["bob"]
     block = None
     if _qubit_block(sigma_msg.payload, 2 * n + t):
         wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, 2 * n + t), "encrypt")
         block = qauth_encode(wrapped, link.auth_key_at(0), t)
-    alice_meta = sigma_msg.meta if forward_meta else None
-    return _send(PHASE_Y, block, bob.macs["bob"], 0, alice_meta=alice_meta, alice_tag=_tag_fields(sigma_msg.tag))
+    alice_meta = sigma_msg.meta if sigma_msg.phase == PHASE_SIGMA else None
+    seen = {"alice_meta": alice_meta, "alice_tag": _tag_fields(sigma_msg.tag)}
+    if _meta_bytes({"phase": PHASE_Y, **seen}, mac) is None:
+        seen = dict.fromkeys(seen)
+    return _send(PHASE_Y, block, mac, 0, **seen)
 
 
 def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessage:
@@ -469,8 +483,8 @@ def run_session(config: SessionConfig, adversary_hook=None, parties: SessionPart
     """One full session on a fresh Haar-random message.
 
     adversary_hook(position, msg) -> msg may rewrite the message in flight at
-    positions "sigma", "y", "t_reply". The transcript logs a state digest and
-    cumulative RNG draw counts after every step, and the verdict gains
+    positions "sigma", "y", "t_reply". The transcript logs the payload state
+    and cumulative RNG draw counts after every step, and the verdict gains
     recovered_fidelity against the original message when bob both accepts and
     recovers an unentangled message factor.
     """
@@ -483,14 +497,7 @@ def run_session(config: SessionConfig, adversary_hook=None, parties: SessionPart
     events: list[dict] = []
 
     def log(event: str, party: str, payload: PureState | None, draws: int) -> None:
-        events.append(
-            {
-                "event": event,
-                "party": party,
-                "digest": state_digest(payload) if payload is not None else "",
-                "rng_draws": draws,
-            }
-        )
+        events.append({"event": event, "party": party, "payload": payload, "rng_draws": draws})
 
     def channel(position: str, msg: ProtocolMessage) -> ProtocolMessage:
         if adversary_hook is None:

@@ -125,9 +125,14 @@ def gf_mul(a: int, b: int, width: int) -> int:
     return r
 
 
+def mac_capacity(width: int) -> int:
+    """The longest message, in bytes, that one tag of this width covers."""
+    return _MAX_BLOCKS * (width // 8)
+
+
 def _blocks(message: bytes, width: int) -> list[int]:
     nbytes = width // 8
-    if len(message) > _MAX_BLOCKS * nbytes:
+    if len(message) > mac_capacity(width):
         raise ValueError(f"message exceeds {_MAX_BLOCKS} blocks")
     padded = message + b"\x00" * (-len(message) % nbytes)
     return [int.from_bytes(padded[i : i + nbytes], "big") for i in range(0, len(padded), nbytes)]

@@ -10,8 +10,9 @@ keeps these draws as they came and derives its gate list from them.
 
 Application works in place, on a state vector or on the columns of a dense
 matrix, and does not go gate by gate: F2 with the permutation, then the H
-layer, then F1 with the Pauli layer. Dense matrices are materialized only on
-request and only for m <= MATRIX_CAP.
+layer, then F1 with the Pauli layer. The H layer runs each butterfly on one
+of the top bits of a rotated amplitude layout, where its rows are long.
+Dense matrices are materialized only on request and only for m <= MATRIX_CAP.
 
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
@@ -135,11 +136,18 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # H at a time, so the result matches gate-by-gate application up to the sign
 # of zeros.
 #
+# A butterfly on qubit q pairs rows of 2^(m-1-q) amplitudes, which are short
+# for high q. The H layer therefore keeps the state in a rotated qubit order
+# and moves the next qubit up with one transpose copy whenever it falls below
+# the top _TOP bits; each element still meets the same butterflies in the same
+# order, so the bytes do not change.
+#
 # Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. The phase
 # is const + sum_j lin[j] x_j + 2 sum_{j,k} quad[j]_k x_j x_k (mod 4), with
 # quad held as row bitmasks; only its GF(2) value matters.
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact; half the bytes of a complex128 factor
+_TOP = 4  # butterflies run on the top _TOP bits of the rotated layout
 
 
 def _bits(mask: int):
@@ -231,6 +239,29 @@ def _hadamard(a2: np.ndarray, q: int) -> None:
     np.multiply(d, _INV_SQRT2, out=v1)
 
 
+def _rotated(buf: np.ndarray, m: int, s: int) -> np.ndarray:
+    """View of buf with its top s qubit bits moved below the other m - s."""
+    return buf.reshape(1 << s, 1 << (m - s), -1).transpose(1, 0, 2)
+
+
+def _hadamards(a2: np.ndarray, m: int, hs: list[int], inverted: bool) -> None:
+    """H on each qubit of hs, in that order, in place on a2. hs ascends, or
+    descends for an inverse; a rotation puts the qubit on the top bit or on
+    bit _TOP - 1 respectively, so that the next qubits need no copy."""
+    buf, r = a2, 0  # buf holds qubits r, ..., m - 1, 0, ..., r - 1 from the top bit down
+    for q in hs:
+        p = (q - r) % m
+        if p >= _TOP:
+            p = _TOP - 1 if inverted else 0
+            buf = _rotated(buf, m, (q - p - r) % m).copy()
+            r = (q - p) % m
+        _hadamard(buf, p)
+    # test identity, not r: rotations that come back to r = 0 leave a new buffer
+    if buf is not a2:
+        s = -r % m
+        a2.reshape(1 << (m - s), 1 << s, -1)[...] = _rotated(buf, m, s)
+
+
 def _apply(a: np.ndarray, op: CliffordOp) -> None:
     """Apply op in place on a (2^m,) vector or (2^m, batch) array."""
     a2 = a.reshape(1 << op.m, -1)
@@ -239,8 +270,7 @@ def _apply(a: np.ndarray, op: CliffordOp) -> None:
     if op.inverted:
         first, second, hs = second, first, hs[::-1]
     _apply_stage(a2, op.m, *first, op.inverted)
-    for q in hs:
-        _hadamard(a2, q)
+    _hadamards(a2, op.m, hs, op.inverted)
     _apply_stage(a2, op.m, *second, op.inverted)
 
 

@@ -30,6 +30,8 @@ from qsiglab.arbitrated import (
     signing_ops,
     signing_unitary,
 )
+from qsiglab import arbitrated
+from qsiglab.attacks import Scenario, run_scenario
 from qsiglab.authcrypto import MacTag, PadReuseError, wc_tag
 from qsiglab.qsim import (
     apply_gate,
@@ -347,10 +349,21 @@ def test_bob_malformed_metadata_aborts(rewrite, stage):
     assert bob_finalize(parties.bob, reply).failure_stage == stage
 
 
+def _nested(depth):
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
 _GARBAGE = {
     "tag_none": lambda msg: dataclasses.replace(msg, tag=None),
     "tag_negative_pad": lambda msg: dataclasses.replace(msg, tag=MacTag(0, 16, -1)),
     "meta_set": lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": {1, 2}}),
+    # longer than the 65536 16-bit blocks one tag covers
+    "meta_oversized": lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": "x" * (1 << 17)}),
+    "meta_nested": lambda msg: dataclasses.replace(msg, meta={**msg.meta, "extra": _nested(10**5)}),
+    "tag_unencodable": lambda msg: dataclasses.replace(msg, tag=MacTag({1}, 16, 0)),
     "phase_renamed": lambda msg: dataclasses.replace(msg, phase="RENAMED"),
     "payload_none": lambda msg: dataclasses.replace(msg, payload=None),
     "qutrit_payload": lambda msg: dataclasses.replace(msg, payload=basis_state(3, msg.payload.n, [0] * msg.payload.n)),
@@ -366,9 +379,10 @@ _STAGE_AT = {"sigma": "arb_auth_inner", "y": "arb_auth_outer", "t_reply": "bob_a
         for case in [
             *[
                 (g, pos, _STAGE_AT[pos])
-                for g in ("tag_none", "tag_negative_pad", "meta_set", "phase_renamed")
+                for g in ("tag_none", "tag_negative_pad", "meta_set", "meta_oversized", "meta_nested", "phase_renamed")
                 for pos in _STAGE_AT
             ],
+            ("tag_unencodable", "sigma", "arb_auth_inner"),
             ("payload_none", "sigma", "arb_auth_outer"),
             ("qutrit_payload", "sigma", "arb_auth_outer"),
             ("oversized_payload", "sigma", "arb_auth_outer"),
@@ -378,12 +392,13 @@ _STAGE_AT = {"sigma": "arb_auth_inner", "y": "arb_auth_outer", "t_reply": "bob_a
     ],
 )
 def test_channel_garbage_ends_in_a_verdict(garbage, position, stage):
-    # a keyless channel adversary swaps the tag for None or for one with a
-    # negative pad index, adds a value JSON cannot encode, renames the phase,
-    # or swaps the payload for None, a qutrit state of the expected register
-    # count or a 17-qubit state: the receiving party rejects, never raises.
-    # Bob forwards a SIGMA payload of the wrong shape as no payload, which the
-    # arbiter rejects outright.
+    # a keyless channel adversary swaps the tag for None, for one with a
+    # negative pad index or for one with a field JSON cannot encode, adds a
+    # value JSON cannot encode or one too long for a tag to cover, renames the
+    # phase, or swaps the payload for None, a qutrit state of the expected
+    # register count or a 17-qubit state: the receiving party rejects, never
+    # raises. Bob forwards a SIGMA payload of the wrong shape as no payload,
+    # which the arbiter rejects outright.
     tr = run_session(SessionConfig(seed=133), adversary_hook=_hook(position, _GARBAGE[garbage]))
     assert not tr.verdict.accepted
     assert tr.verdict.failure_stage == stage
@@ -429,6 +444,7 @@ def test_hostile_messages_end_in_a_verdict(data):
                 st.lists(_JSON, max_size=3),
                 st.none(),
                 st.just({**msg.meta, "extra": {1, 2}}),
+                st.just({**msg.meta, "extra": "x" * (1 << 17)}),
             ),
         )
         tag = field(
@@ -439,6 +455,7 @@ def test_hostile_messages_end_in_a_verdict(data):
                 # the key's width, so a random value and pad index reach the check
                 st.builds(MacTag, st.integers(), st.just(msg.tag.width), st.integers(-4, 4)),
                 st.lists(st.integers(), max_size=4),
+                st.just(MacTag({1}, msg.tag.width, 0)),
             ),
         )
         phases = [PHASE_SIGMA, PHASE_Y, PHASE_T_REPLY, PHASE_ABORT, "RENAMED"]
@@ -476,6 +493,19 @@ def test_channel_tamper_is_logged():
     tr = run_session(SessionConfig(seed=130), adversary_hook=_hook("sigma", _x_tamper))
     parties_seen = [e["party"] for e in tr.events]
     assert "adversary" in parties_seen
+
+
+def test_scenarios_hash_no_states(monkeypatch):
+    # a transcript digests its payload states only when json_lines() asks,
+    # and run_scenario never does
+    def refuse(state):
+        raise AssertionError("state_digest called")
+
+    monkeypatch.setattr(arbitrated, "state_digest", refuse)
+    report = run_scenario(Scenario("eve_pauli_tamper", {}, 2, 0))
+    assert sum(report.failure_stages.values()) == 2
+    with pytest.raises(AssertionError, match="state_digest called"):
+        run_session(SessionConfig(seed=1)).json_lines()
 
 
 def test_recovered_message_matches_original():

@@ -1,4 +1,4 @@
-"""Smoke runs of the calibration and table scripts at tiny sizes."""
+"""Smoke runs of the calibration, table and bench-record scripts at tiny sizes."""
 import os
 import subprocess
 import sys
@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ("calibrate_auth_detection.py", ["--trials", "30", "--traps", "2"]),
         ("calibrate_noncommutativity.py", ["--keys", "4", "--max-n", "2"]),
         ("run_all_scenarios.py", ["--trials", "3"]),
+        # the kernel timings of a record only; a full record runs the benchmark
+        ("bench_record.py", ["--kernels", str(ROOT)]),
     ],
 )
 def test_script_runs(script, args):
