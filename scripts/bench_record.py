@@ -67,10 +67,12 @@ def kernel_timings(checkout: Path) -> dict:
         ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
         times = [_median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())]
         out[f"apply_clifford_m{m}_ms"] = statistics.median(times)
-    # the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
+    # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
     for t in (4, 6):
         key = AuthKey(t)
-        block = qauth_encode(sample_random_pure(2, 4 + t, new_rng(t)), key, t)
+        payload = sample_random_pure(2, 4 + t, new_rng(t))
+        block = qauth_encode(payload, key, t)
+        out[f"qauth_encode_t{t}_ms"] = _median_ms(lambda: qauth_encode(payload, key, t), 20)
         out[f"qauth_verify_t{t}_ms"] = _median_ms(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
     # the size of truesig's omega-pair check at d = 7, k = 3
     st = sample_random_pure(7, 5, new_rng(7))

@@ -14,6 +14,15 @@ layer, then F1 with the Pauli layer. The H layer runs each butterfly on one
 of the top bits of a rotated amplitude layout, where its rows are long.
 Dense matrices are materialized only on request and only for m <= MATRIX_CAP.
 
+Trap authentication uses two trap-aware forms of the same application. The
+first H-free stage is a permutation with a phase, so apply_clifford_padded
+applies an op to a payload followed by t |0> traps without building that
+block: only the 2^n payload rows go through the stage, into a zeroed array.
+undo_clifford_column undoes an op and keeps one column of the (payload,
+traps) view: the inverse ends with that stage, whose phase leaves squared
+magnitudes alone, so the column weights are read before it and only the
+kept column goes through it. Both give the values of the full path.
+
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
 2i is the image of X_i, row 2i+1 the image of Z_i.
@@ -134,7 +143,9 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # the gather from the same arrays times i^-q; each H is a butterfly. Every step
 # is exact apart from the butterflies, which do the same IEEE arithmetic as one
 # H at a time, so the result matches gate-by-gate application up to the sign
-# of zeros.
+# of zeros. A zero input row contributes nothing to a scatter, so a stage
+# can be built for the rows whose low lo bits are 0 alone (_index_phase's
+# lo), and a gather for any subset of its rows.
 #
 # A butterfly on qubit q pairs rows of 2^(m-1-q) amplitudes, which are short
 # for high q. The H layer therefore keeps the state in a rotated qubit order
@@ -165,19 +176,20 @@ def _transpose(rows: list[int], m: int) -> list[int]:
     return cols
 
 
-def _index_phase(m: int, rows, b, const, lin, quad) -> tuple[np.ndarray, np.ndarray]:
-    """Destination index A x + b and Z4 phase of every flat index x, where
-    output bit p is the parity of x & rows[p], xor b_p."""
-    # Double over the bits of x: entries [2^j, 2^(j+1)) are entries [0, 2^j)
-    # with bit j set. The low m bits of key hold A x + b; bit m + k holds the
-    # parity of x against the cross terms pairing bit k with lower bits.
+def _index_phase(m: int, rows, b, const, lin, quad, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Destination index A x + b and Z4 phase of every flat index x whose low
+    lo bits are 0, in order of x, where output bit p is the parity of
+    x & rows[p], xor b_p."""
+    # Double over the bits of x from bit lo up: entries [2^(j-lo), 2^(j-lo+1))
+    # are entries [0, 2^(j-lo)) with bit j set. The low m bits of key hold
+    # A x + b; bit m + k holds the parity of x against the cross terms pairing
+    # bit k with lower bits.
     cols, quad_cols = _transpose(rows, m), _transpose(quad, m)
-    n = 1 << m
-    key = np.empty(n, dtype=np.int64)
-    phase = np.empty(n, dtype=np.int64)
+    key = np.empty(1 << (m - lo), dtype=np.int64)
+    phase = np.empty_like(key)
     key[0], phase[0] = b, const
-    for j in range(m):
-        h = 1 << j
+    for j in range(lo, m):
+        h = 1 << (j - lo)
         cross = quad[j] ^ quad_cols[j]
         np.bitwise_xor(key[:h], cols[j] | (cross >> (j + 1) << (m + j + 1)), out=key[h : 2 * h])
         hi = phase[h : 2 * h]
@@ -185,13 +197,13 @@ def _index_phase(m: int, rows, b, const, lin, quad) -> tuple[np.ndarray, np.ndar
         hi &= 2
         hi += phase[:h]
         hi += lin[j] + 2 * ((quad[j] >> j) & 1)
-    key &= n - 1
+    key &= (1 << m) - 1
     phase &= 3
     return key, phase
 
 
-def _apply_stage(a2: np.ndarray, m: int, borel, perm, xs, zs, inverse: bool) -> None:
-    """|x> -> i^q(y) |P y + xs>, y = (I + L) x, or its inverse, in place."""
+def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """_index_phase of |x> -> i^q(y) |P y + xs>, y = (I + L) x."""
     lower, gamma = borel
     bit = [1 << (m - 1 - i) for i in range(m)]
     # y_i is the parity of x & rows[i]; the bits are distinct, so sum is or
@@ -212,7 +224,12 @@ def _apply_stage(a2: np.ndarray, m: int, borel, perm, xs, zs, inverse: bool) -> 
                 lin[p] += 2
     out = [rows[q] for q in perm or range(m)]  # output qubit i is y_perm[i]
     b = sum(bit[i] for i, x in enumerate(xs) if x)
-    dest, phase = _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad)
+    return _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad, lo)
+
+
+def _apply_stage(a2: np.ndarray, m: int, borel, perm, xs, zs, inverse: bool) -> None:
+    """|x> -> i^q(y) |P y + xs>, y = (I + L) x, or its inverse, in place."""
+    dest, phase = _stage(m, borel, perm, xs, zs)
     # The phase is dropped before the state is copied, so at most the index
     # and one state copy are alive at once. The inverse a[x] = i^-q[x]
     # out[dest[x]] moves its phase to the destination first, for that reason.
@@ -262,27 +279,81 @@ def _hadamards(a2: np.ndarray, m: int, hs: list[int], inverted: bool) -> None:
         a2.reshape(1 << (m - s), 1 << s, -1)[...] = _rotated(buf, m, s)
 
 
+def _layers(op: CliffordOp):
+    """The H-free stage op applies first, its H qubits in order, and the
+    H-free stage it applies last."""
+    first, last = (op.f2, op.perm, (), ()), (op.f1, (), op.xs, op.zs)
+    hs = [q for q, h in enumerate(op.had) if h]
+    if op.inverted:
+        return last, hs[::-1], first
+    return first, hs, last
+
+
 def _apply(a: np.ndarray, op: CliffordOp) -> None:
     """Apply op in place on a (2^m,) vector or (2^m, batch) array."""
     a2 = a.reshape(1 << op.m, -1)
-    first, second = (op.f2, op.perm, (), ()), (op.f1, (), op.xs, op.zs)
-    hs = [q for q, h in enumerate(op.had) if h]
-    if op.inverted:
-        first, second, hs = second, first, hs[::-1]
+    first, hs, last = _layers(op)
     _apply_stage(a2, op.m, *first, op.inverted)
     _hadamards(a2, op.m, hs, op.inverted)
-    _apply_stage(a2, op.m, *second, op.inverted)
+    _apply_stage(a2, op.m, *last, op.inverted)
+
+
+def _check_state(state: PureState, n: int) -> None:
+    if state.d != 2:
+        raise ValueError("Clifford application requires qubit registers (d = 2)")
+    if state.n != n:
+        raise ValueError(f"expected a state of {n} qubits, got {state.n}")
 
 
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
     """Apply a Clifford to a qubit state (all registers)."""
-    if state.d != 2:
-        raise ValueError("Clifford application requires qubit registers (d = 2)")
-    if state.n != op.m:
-        raise ValueError(f"operator acts on {op.m} qubits, state has {state.n}")
+    _check_state(state, op.m)
     amps = state.amps.copy()
     _apply(amps, op)
     return PureState(2, op.m, amps)
+
+
+def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState:
+    """apply_clifford(tensor(state, |0^t>), op) for an op that is not inverted.
+
+    Only the 2^n rows of the payload are nonzero, and the first stage is a
+    permutation with a phase, so it takes just those rows (the traps are the
+    low t bits of the flat index) and scatters them into a zeroed block.
+    Every nonzero amplitude meets the same arithmetic as on the full block."""
+    if op.inverted:
+        raise ValueError("the padded application takes an op that is not inverted")
+    _check_state(state, op.m - t)
+    first, hs, last = _layers(op)
+    dest, phase = _stage(op.m, *first, lo=t)
+    amps = np.zeros(1 << op.m, dtype=np.complex128)
+    amps[dest] = state.amps * _I_POW[phase]
+    a2 = amps.reshape(-1, 1)
+    _hadamards(a2, op.m, hs, False)
+    _apply_stage(a2, op.m, *last, False)
+    return PureState(2, op.m, amps)
+
+
+def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tuple[int, np.ndarray]:
+    """c and column c of the (2^n, 2^t) view of apply_clifford(state,
+    op.inverse()), for an op that is not inverted. c = pick(w), where w holds
+    the squared norms of the 2^t columns.
+
+    The last stage of the inverse is the gather a[x] = i^-q[x] out[dest[x]],
+    whose phase leaves |a|^2 unchanged: w is read from |out|^2 through dest,
+    and only the 2^n rows of column c are gathered and phased. The values
+    equal those of the full inverse."""
+    if op.inverted:
+        raise ValueError("the column read takes an op that is not inverted")
+    _check_state(state, op.m)
+    first, hs, last = _layers(op)
+    amps = state.amps.copy()
+    a2 = amps.reshape(-1, 1)
+    _apply_stage(a2, op.m, *last, True)
+    _hadamards(a2, op.m, hs[::-1], True)
+    dest, phase = _stage(op.m, *first)
+    cols = 1 << t
+    col = pick((np.abs(amps) ** 2)[dest].reshape(-1, cols).sum(axis=0))
+    return col, amps[dest[col::cols]] * _I_POW[-phase[col::cols]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from qsiglab.clifford import (
     CliffordOp,
     MATRIX_CAP,
     apply_clifford,
+    apply_clifford_padded,
     is_symplectic,
     pauli_from_bits,
     sample_clifford,
+    undo_clifford_column,
 )
 from qsiglab.qsim import GateMatrix, apply_gate, basis_state, decode_labels, fidelity, new_rng, sample_random_pure
 
@@ -216,6 +218,21 @@ def test_inverse_round_trip(m):
     assert fidelity(back, st) > 1 - 1e-12
 
 
+def test_trap_aware_forms_reject_inverted_ops_and_wrong_sizes():
+    # both forms build the first stage of a forward op; see test_authcrypto
+    # for their equivalence with the full path
+    op = sample_clifford(4, new_rng(80))
+    payload, block = sample_random_pure(2, 3, new_rng(81)), sample_random_pure(2, 4, new_rng(82))
+    with pytest.raises(ValueError):
+        apply_clifford_padded(payload, op.inverse(), 1)
+    with pytest.raises(ValueError):
+        apply_clifford_padded(payload, op, 2)
+    with pytest.raises(ValueError):
+        undo_clifford_column(block, op.inverse(), 1, lambda w: 0)
+    with pytest.raises(ValueError):
+        undo_clifford_column(payload, op, 1, lambda w: 0)
+
+
 def test_empty_clifford_is_noop():
     st = sample_random_pure(2, 3, new_rng(40))
     out = apply_clifford(st, CliffordOp(3))
@@ -259,7 +276,7 @@ def test_large_block_application_speed():
     elapsed = time.perf_counter() - t0
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
     # two permutation passes built from the sampled data, around one H layer:
-    # about 11 ms on a 2-core machine, of which the H layer is about 7 ms;
+    # about 6.5 ms on a 2-core machine, of which the H layer is about 4 ms;
     # 30-40 ms gate by gate. The 1 s bound is a regression fence
     assert elapsed < 1.0
 

@@ -1,4 +1,5 @@
 """Smoke runs of the calibration, table and bench-record scripts at tiny sizes."""
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,8 @@ def test_script_runs(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    if script == "bench_record.py":
+        kernels = json.loads(proc.stdout)
+        for t in (4, 6):
+            assert kernels[f"qauth_encode_t{t}_ms"] > 0
+            assert kernels[f"qauth_verify_t{t}_ms"] > 0
