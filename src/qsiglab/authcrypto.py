@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import CliffordOp, apply_clifford, apply_clifford_padded, sample_clifford
+from .clifford import CliffordOp, apply_clifford_padded, sample_clifford, undo_clifford_column
 from .qsim import PureState, derive_seed, make_state, new_rng, parity_labels
 
 MAC_WIDTHS = (16, 32, 64)
@@ -234,6 +234,16 @@ def qauth_encode(state: PureState, auth_key: AuthKey, t: int) -> PureState:
     return apply_clifford_padded(state, _auth_clifford(auth_key, state.n + t), t)
 
 
+def _read_traps(weights: np.ndarray, t: int, rng: np.random.Generator) -> int:
+    """Draw trap j from its Born distribution given traps 0..j-1, one
+    rng.choice per trap, from the 2^t column weights; returns the column."""
+    col = 0
+    for j in range(t):
+        w = weights.reshape(2**j, 2, -1)[col].sum(axis=1)
+        col = 2 * col + int(rng.choice(2, p=w / w.sum()))
+    return col
+
+
 def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Generator) -> tuple[bool, PureState]:
     """Unscramble, measure the last t registers as traps, accept iff all read 0.
 
@@ -241,21 +251,18 @@ def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Gen
     whether or not the traps accept, so callers can decide what to do with a
     rejected block. With t = 0 acceptance is vacuous.
 
-    The traps are read from one pass over the (payload, traps) amplitude
-    columns: trap j is drawn from its Born distribution given traps 0..j-1,
-    one rng.choice per trap, as measuring them one at a time would draw.
+    The traps are read from the (payload, traps) column weights of the
+    unscrambled block: trap j is drawn from its Born distribution given traps
+    0..j-1, one rng.choice per trap, as measuring them one at a time would
+    draw. The last H-free stage of the unscrambling only permutes and phases,
+    so the weights are taken before it, and only the kept column goes
+    through it.
     """
     if not 0 <= t < state.n:
         raise ValueError(f"need 0 <= t < {state.n} traps to leave a payload register, got t = {t}")
-    n = state.n - t
-    decoded = apply_clifford(state, _auth_clifford(auth_key, state.n).inverse())
     if t == 0:
         warnings.warn("verifying an authentication block with no traps is vacuous", stacklevel=2)
-        return True, decoded
-    cols = decoded.amps.reshape(2**n, 2**t)
-    weights = (np.abs(cols) ** 2).sum(axis=0)
-    col = 0
-    for j in range(t):
-        w = weights.reshape(2**j, 2, -1)[col].sum(axis=1)
-        col = 2 * col + int(rng.choice(2, p=w / w.sum()))
-    return col == 0, make_state(2, n, cols[:, col])
+    op = _auth_clifford(auth_key, state.n)
+    col, payload = undo_clifford_column(state, op, t, lambda weights: _read_traps(weights, t, rng))
+    # with no traps the unscrambled block is the payload, already normalized
+    return col == 0, make_state(2, state.n - t, payload) if t else PureState(2, state.n, payload)

@@ -14,11 +14,14 @@ layer, then F1 with the Pauli layer. The H layer runs each butterfly on one
 of the top bits of a rotated amplitude layout, where its rows are long.
 Dense matrices are materialized only on request and only for m <= MATRIX_CAP.
 
-Trap authentication encodes with apply_clifford_padded, the same application
-to a payload followed by t |0> traps. The first H-free stage is a permutation
-with a phase, so only the 2^n payload rows go through it, into a zeroed
-array, and the payload (x) |0^t> block is never built. The values equal those
-of apply_clifford on that block.
+Trap authentication uses two trap-aware forms of the same application. The
+first H-free stage is a permutation with a phase, so apply_clifford_padded
+applies an op to a payload followed by t |0> traps without building that
+block: only the 2^n payload rows go through the stage, into a zeroed array.
+undo_clifford_column undoes an op and keeps one column of the (payload,
+traps) view: the inverse ends with that stage, whose phase leaves squared
+magnitudes alone, so the column weights are read before it and only the
+kept column goes through it. Both give the values of the full path.
 
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
@@ -142,7 +145,7 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # H at a time, so the result matches gate-by-gate application up to the sign
 # of zeros. A zero input row contributes nothing to a scatter, so a stage
 # can be built for the rows whose low lo bits are 0 alone (_index_phase's
-# lo).
+# lo), and a gather for any subset of its rows.
 #
 # A butterfly on qubit q pairs rows of 2^(m-1-q) amplitudes, which are short
 # for high q. The H layer therefore keeps the state in a rotated qubit order
@@ -328,6 +331,29 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
     _hadamards(a2, op.m, hs, False)
     _apply_stage(a2, op.m, *last, False)
     return PureState(2, op.m, amps)
+
+
+def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tuple[int, np.ndarray]:
+    """c and column c of the (2^n, 2^t) view of apply_clifford(state,
+    op.inverse()), for an op that is not inverted. c = pick(w), where w holds
+    the squared norms of the 2^t columns.
+
+    The last stage of the inverse is the gather a[x] = i^-q[x] out[dest[x]],
+    whose phase leaves |a|^2 unchanged: w is read from |out|^2 through dest,
+    and only the 2^n rows of column c are gathered and phased. The values
+    equal those of the full inverse."""
+    if op.inverted:
+        raise ValueError("the column read takes an op that is not inverted")
+    _check_state(state, op.m)
+    first, hs, last = _layers(op)
+    amps = state.amps.copy()
+    a2 = amps.reshape(-1, 1)
+    _apply_stage(a2, op.m, *last, True)
+    _hadamards(a2, op.m, hs[::-1], True)
+    dest, phase = _stage(op.m, *first)
+    cols = 1 << t
+    col = pick((np.abs(amps) ** 2)[dest].reshape(-1, cols).sum(axis=0))
+    return col, amps[dest[col::cols]] * _I_POW[-phase[col::cols]]
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,21 @@ def _full_path_encode(payload, key: AuthKey, t: int):
     return apply_clifford(block, _scrambler(key, payload.n + t))
 
 
+def _full_path_verify(state, key: AuthKey, t: int, rng):
+    """The readout on the whole block: the full inverse, then the column weights."""
+    n = state.n - t
+    decoded = apply_clifford(state, _scrambler(key, state.n).inverse())
+    if t == 0:
+        return True, decoded
+    cols = decoded.amps.reshape(2**n, 2**t)
+    weights = (np.abs(cols) ** 2).sum(axis=0)
+    col = 0
+    for j in range(t):
+        w = weights.reshape(2**j, 2, -1)[col].sum(axis=1)
+        col = 2 * col + int(rng.choice(2, p=w / w.sum()))
+    return col == 0, make_state(2, n, cols[:, col])
+
+
 @pytest.mark.parametrize("t", range(7))
 def test_encode_matches_full_block_path(t):
     # payloads of 1 to 10 qubits, up to the 16-qubit block of a t = 6 session
@@ -382,6 +397,49 @@ def test_encode_matches_full_block_path(t):
             warnings.simplefilter("ignore")
             block = qauth_encode(payload, key, t)
         assert state_digest(block) == state_digest(_full_path_encode(payload, key, t))
+
+
+def _pauli_tampered(block, rng):
+    q = int(rng.integers(block.n))
+    pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])][int(rng.integers(3))]
+    return apply_gate(block, GateMatrix(2, 1, pauli.astype(np.complex128)), [q])
+
+
+def _flipped_trap(payload, key: AuthKey, t: int, rng):
+    """A block whose trap j reads 1 once the key's Clifford is undone."""
+    traps = [0] * t
+    traps[int(rng.integers(t))] = 1
+    return apply_clifford(tensor(payload, basis_state(2, t, traps)), _scrambler(key, payload.n + t))
+
+
+@pytest.mark.parametrize("n, t", [(1, 1), (2, 2), (3, 4), (4, 6), (10, 6)])
+@pytest.mark.parametrize("kind", ["honest", "pauli", "flipped_trap"])
+def test_verify_matches_full_block_path(kind, n, t):
+    for seed in range(4 if n + t < 16 else 2):
+        src = new_rng(seed)
+        payload = sample_random_pure(2, n, src)
+        key = AuthKey(5000 + seed)
+        if kind == "flipped_trap":
+            block = _flipped_trap(payload, key, t, src)
+        else:
+            block = qauth_encode(payload, key, t)
+            if kind == "pauli":
+                block = _pauli_tampered(block, src)
+        ours, ref = new_rng(200 + seed), new_rng(200 + seed)
+        accept, recovered = qauth_verify(block, key, t, ours)
+        ref_accept, ref_recovered = _full_path_verify(block, key, t, ref)
+        assert (accept, state_digest(recovered)) == (ref_accept, state_digest(ref_recovered))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        if kind != "pauli":
+            assert accept == (kind == "honest")
+
+
+def test_trap_free_verify_matches_full_block_path():
+    block = sample_random_pure(2, 5, new_rng(27))
+    with pytest.warns(UserWarning):
+        accept, recovered = qauth_verify(block, AuthKey(3), 0, new_rng(0))
+    assert accept
+    assert state_digest(recovered) == state_digest(_full_path_verify(block, AuthKey(3), 0, None)[1])
 
 
 def test_auth_key_needs_a_seed():

@@ -18,6 +18,7 @@ from qsiglab.clifford import (
     is_symplectic,
     pauli_from_bits,
     sample_clifford,
+    undo_clifford_column,
 )
 from qsiglab.qsim import GateMatrix, apply_gate, basis_state, decode_labels, fidelity, new_rng, sample_random_pure
 
@@ -217,15 +218,19 @@ def test_inverse_round_trip(m):
     assert fidelity(back, st) > 1 - 1e-12
 
 
-def test_padded_application_rejects_inverted_ops_and_wrong_sizes():
-    # it builds the first stage of a forward op; see test_authcrypto for its
-    # equivalence with the full path
+def test_trap_aware_forms_reject_inverted_ops_and_wrong_sizes():
+    # both forms build the first stage of a forward op; see test_authcrypto
+    # for their equivalence with the full path
     op = sample_clifford(4, new_rng(80))
-    payload = sample_random_pure(2, 3, new_rng(81))
+    payload, block = sample_random_pure(2, 3, new_rng(81)), sample_random_pure(2, 4, new_rng(82))
     with pytest.raises(ValueError):
         apply_clifford_padded(payload, op.inverse(), 1)
     with pytest.raises(ValueError):
         apply_clifford_padded(payload, op, 2)
+    with pytest.raises(ValueError):
+        undo_clifford_column(block, op.inverse(), 1, lambda w: 0)
+    with pytest.raises(ValueError):
+        undo_clifford_column(payload, op, 1, lambda w: 0)
 
 
 def test_empty_clifford_is_noop():
