@@ -4,10 +4,10 @@ Roles: alice signs a quantum message, bob receives it and cannot validate it
 alone, a trusted arbiter adjudicates. Alice shares one key link with the
 arbiter, bob shares another; alice and bob share nothing. One session is
 four phases: SIGMA (alice -> bob: signed message plus a plaintext copy,
-trap-authenticated), Y (bob -> arbiter: alice's block one-time padded and
-re-authenticated under bob's key), T_REPLY (arbiter -> bob: validity bit r
-plus the repacked registers), or ABORT in place of T_REPLY when a check
-fails on the arbiter's side. Classical metadata rides under one-time MACs.
+trap-authenticated), Y (bob -> arbiter: alice's block re-authenticated
+under bob's key), T_REPLY (arbiter -> bob: validity bit r plus the
+repacked registers), or ABORT in place of T_REPLY when a check fails on
+the arbiter's side. Classical metadata rides under one-time MACs.
 
 The signature itself is a keyed non-Clifford unitary on the message
 registers. Its role is to bind the message to alice's key: stripping it
@@ -34,7 +34,6 @@ from .authcrypto import (
     mac_capacity,
     qauth_encode,
     qauth_verify,
-    qotp,
     wc_check,
     wc_tag,
 )
@@ -111,14 +110,6 @@ class CountingRNG:
     def choice(self, *args, **kwargs):
         self.draws += 1
         return self._rng.choice(*args, **kwargs)
-
-    def integers(self, *args, **kwargs):
-        self.draws += 1
-        return self._rng.integers(*args, **kwargs)
-
-    def standard_normal(self, *args, **kwargs):
-        self.draws += 1
-        return self._rng.standard_normal(*args, **kwargs)
 
 
 @dataclass
@@ -364,23 +355,24 @@ def alice_sign(alice: Party, message_state: PureState, message_copy: PureState) 
 
 
 def bob_wrap(bob: Party, sigma_msg: ProtocolMessage) -> ProtocolMessage:
-    """Y: one-time pad alice's block, re-authenticate under bob's key, forward.
+    """Y: re-authenticate alice's block under bob's key and forward it.
 
-    Bob cannot check anything yet; he binds what he saw (alice's metadata and
-    tag travel inside his own MAC'd metadata) and sends it to the arbiter. A
-    tag that is no MAC tag travels as None, and so does the metadata of a
-    message in another phase. When what he saw cannot go under his MAC (JSON
-    cannot encode it, or it is too long for one tag), both travel as None.
-    The arbiter rejects any of these at arb_auth_inner. A payload that is
-    not 2n + t qubit registers travels as None too, which the arbiter
-    rejects at arb_auth_outer.
+    Bob cannot check anything yet. His keyed Clifford already encrypts the
+    block (trap authentication implies encryption), so no pad goes under it:
+    each hop carries exactly one trap authentication. Bob binds what he saw
+    (alice's metadata and tag travel inside his own MAC'd metadata) and sends
+    it to the arbiter. A tag that is no MAC tag travels as None, and so does
+    the metadata of a message in another phase. When what he saw cannot go
+    under his MAC (JSON cannot encode it, or it is too long for one tag),
+    both travel as None. The arbiter rejects any of these at arb_auth_inner.
+    A payload that is not 2n + t qubit registers travels as None too, which
+    the arbiter rejects at arb_auth_outer.
     """
     n, t = bob.config.n, bob.config.t
-    link, mac = bob.links["bob"], bob.macs["bob"]
+    mac = bob.macs["bob"]
     block = None
     if _qubit_block(sigma_msg.payload, 2 * n + t):
-        wrapped = qotp(sigma_msg.payload, link.qotp_key_at(0, 2 * n + t), "encrypt")
-        block = qauth_encode(wrapped, link.auth_key_at(0), t)
+        block = qauth_encode(sigma_msg.payload, bob.links["bob"].auth_key_at(0), t)
     alice_meta = sigma_msg.meta if sigma_msg.phase == PHASE_SIGMA else None
     seen = {"alice_meta": alice_meta, "alice_tag": _tag_fields(sigma_msg.tag)}
     if _meta_bytes({"phase": PHASE_Y, **seen}, mac) is None:
@@ -413,12 +405,11 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     ok, inner = qauth_verify(y_msg.payload, bob_link.auth_key_at(0), t, arbiter.rng)
     if not ok:
         return abort("arb_auth_outer")
-    unpadded = qotp(inner, bob_link.qotp_key_at(0, inner.n), "decrypt")
 
     sigma = ProtocolMessage(PHASE_SIGMA, None, meta.get("alice_meta"), _mac_tag(meta.get("alice_tag")))
     if _open(sigma, PHASE_SIGMA, arbiter.macs["alice"]) is None:
         return abort("arb_auth_inner")
-    ok, core = qauth_verify(unpadded, arbiter.links["alice"].auth_key_at(0), t, arbiter.rng)
+    ok, core = qauth_verify(inner, arbiter.links["alice"].auth_key_at(0), t, arbiter.rng)
     if not ok:
         return abort("arb_auth_inner")
 

@@ -155,11 +155,13 @@ def _run_bob_pauli_forgery(params, trials, seed):
     return _session_trials(params, trials, seed, hook_factory=lambda cfg, rng: dual_pauli_forgery_hook(cfg.n, rng))
 
 
-def _run_wrong_key_binding(params, trials, seed):
-    def doctor(parties, cfg, tseed):
-        parties.arbiter.sig_ops = signing_ops(cfg.n, derive_seed(tseed, "unrelated_signer"))
+def unrelated_signer(parties, cfg, tseed) -> None:
+    """Doctor: the arbiter unsigns with a signing key unrelated to alice's."""
+    parties.arbiter.sig_ops = signing_ops(cfg.n, derive_seed(tseed, "unrelated_signer"))
 
-    return _session_trials(params, trials, seed, doctor=doctor)
+
+def _run_wrong_key_binding(params, trials, seed):
+    return _session_trials(params, trials, seed, doctor=unrelated_signer)
 
 
 def _truesig_trials(params, trials, seed, doctor):
@@ -283,7 +285,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         {"n": 2, "t": 4, "mode": "referee", "b": 16},
         "Bob hits signed block and copy with the same Pauli string before wrapping.",
         "bob's own keys; no alice-arbiter key material",
-        _rate_below(lambda p: 2.0 ** -p["t"], "traps catch the tamper; the signature is not Pauli-covariant"),
+        _rate_below(lambda p: 2.0 ** -p["t"], "the traps catch the tamper"),
     ),
     "wrong_key_binding": ScenarioSpec(
         _run_wrong_key_binding,

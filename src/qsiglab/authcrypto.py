@@ -3,9 +3,10 @@
 Everything here is information-theoretic given fresh key material; the key
 schedule itself is a deterministic SHA-256 expansion of a master seed so
 that two parties holding the same link seed derive bit-identical material
-without communicating. Derivation paths are disjoint per purpose (``qotp``,
-``auth``, ``mac``, ``sig``) and per index; callers name the index they use,
-and one-time MAC pads are guarded against reuse (below).
+without communicating. Derivation paths are disjoint per purpose (``auth``,
+``mac``, ``sig``) and per index; callers name the index they use, and
+one-time MAC pads are guarded against reuse (below). The quantum one-time
+pad takes its key from the caller and has no place in the schedule.
 
 The MAC is a polynomial-evaluation universal hash over GF(2^b) masked with
 a one-time pad: tag = H_r(message) xor pad[index]. The message is split
@@ -85,10 +86,6 @@ class LinkKey:
 
     role: str
     seed: int
-
-    def qotp_key_at(self, index: int, n_regs: int, d: int = 2) -> np.ndarray:
-        rng = new_rng(derive_seed(self.seed, "qotp", index))
-        return rng.integers(0, d, size=(n_regs, 2))
 
     def auth_key_at(self, index: int) -> AuthKey:
         return AuthKey(derive_seed(self.seed, "auth", index))

@@ -68,16 +68,13 @@ def test_indexed_lookups_are_stable_and_distinct():
     k0, k1 = link.auth_key_at(0), link.auth_key_at(1)
     assert k0 == link.auth_key_at(0)
     assert k0.seed != k1.seed
-    q0 = link.qotp_key_at(0, 4)
-    assert np.array_equal(q0, link.qotp_key_at(0, 4))
-    assert not np.array_equal(q0, link.qotp_key_at(1, 4))
 
 
 def test_counterpart_rederives_same_material():
     # the same (role, seed) pair on the other side of the link sees identical keys
     left = derive_keys(11, ["peer"])["peer"]
     right = derive_keys(11, ["peer"])["peer"]
-    assert np.array_equal(left.qotp_key_at(0, 3), right.qotp_key_at(0, 3))
+    assert left.auth_key_at(0) == right.auth_key_at(0)
     assert left.mac_key(16).point == right.mac_key(16).point
     assert left.sig_seed() == right.sig_seed()
 
