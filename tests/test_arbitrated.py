@@ -36,6 +36,8 @@ from qsiglab.authcrypto import MacTag, PadReuseError, wc_tag
 from qsiglab.qsim import (
     apply_gate,
     basis_state,
+    controlled_add_gate,
+    decode_labels,
     fidelity,
     hadamard_gate,
     new_rng,
@@ -85,6 +87,45 @@ def test_signing_ops_deterministic():
         np.array_equal(ga.entries, gc.entries) and ta == tc
         for (ga, ta), (gc, tc) in zip(a, c)
     )
+
+
+def _reference_signing_unitary(n: int, sig_seed: int) -> np.ndarray:
+    """The keyed signing unitary built gate by gate: the layer draws of
+    signing_ops, each gate put through apply_gate on every basis state."""
+    rng = new_rng(sig_seed)
+
+    def pauli_layer():
+        return [(pauli_gate("IXYZ"[rng.integers(0, 4)]), (q,)) for q in range(n)]
+
+    def phase_layer():
+        return [(phase_eighth_gate(int(2 * rng.integers(0, 4) + 1)), (q,)) for q in range(n)]
+
+    def h_layer():
+        return [(hadamard_gate(), (q,)) for q in range(n)]
+
+    def cadd_layer():
+        q = int(rng.integers(0, n - 1))
+        flip = int(rng.integers(0, 2))
+        return [(controlled_add_gate(2), (q + 1, q) if flip else (q, q + 1))]
+
+    layers = [pauli_layer()] if n > 1 else []
+    layers += [phase_layer(), h_layer(), phase_layer()]
+    while len(layers) < 3 * n:
+        layers.append((pauli_layer, h_layer, cadd_layer)[int(rng.integers(0, 3))]())
+    u = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for j in range(2**n):
+        st = basis_state(2, n, decode_labels(j, n, 2))
+        for gate, targets in (g for layer in layers for g in layer):
+            st = apply_gate(st, gate, targets)
+        u[:, j] = st.amps
+    return u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signing_unitary_matches_gate_by_gate_reference(n):
+    for seed in range(100 * n, 100 * n + 16):
+        u = signing_unitary(n, signing_ops(n, seed))
+        assert np.abs(u - _reference_signing_unitary(n, seed)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
