@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the trial benchmark in one checkout and add a labelled record to a BENCH file.
 
-    python3 scripts/bench_record.py --label parent --checkout ../parent --seed 3
+    python3 scripts/bench_record.py --label parent --checkout ../parent --seed 3 --out BENCH_9.json
     python3 scripts/bench_record.py --label change --checkout . --seed 3 --out BENCH_9.json
 
 A record holds the checkout's git sha, the machine (nproc, Python and numpy
@@ -133,7 +133,7 @@ def main() -> int:
     ap.add_argument("--label", help="name of the record, such as parent or change")
     ap.add_argument("--checkout", type=Path, default=ROOT, help="tree to benchmark (default: this one)")
     ap.add_argument("--seed", type=int, default=0, help="workload seed passed to qsigbench/run.py")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json", help="BENCH file to add the record to")
+    ap.add_argument("--out", type=Path, help="BENCH file to add the record to (required with --label)")
     ap.add_argument("--kernels", type=Path, metavar="CHECKOUT", help="only print CHECKOUT's kernel timings")
     args = ap.parse_args()
     if args.kernels:
@@ -141,6 +141,8 @@ def main() -> int:
         return 0
     if not args.label:
         ap.error("--label is required")
+    if args.out is None:
+        ap.error("--out is required with --label")
     rec = record(args.label, args.checkout.resolve(), args.seed)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
     bench["records"].append(rec)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -38,14 +40,13 @@ from .authcrypto import (
     wc_tag,
 )
 from .qsim import (
+    MAX_AMPS,
     TOL,
     EntangledFactorError,
     GateMatrix,
     PureState,
     apply_gate,
-    basis_state,
     controlled_add_gate,
-    decode_labels,
     derive_seed,
     extract_factor,
     fidelity,
@@ -94,6 +95,9 @@ class SessionConfig:
             raise ValueError(f"mode must be 'referee' or 'protocol', got {self.mode!r}")
         if self.b not in MAC_WIDTHS:
             raise ValueError(f"MAC width must be one of {MAC_WIDTHS}, got {self.b}")
+        regs = 2 * self.n + 2 * self.t  # bob's block, the largest state a session holds
+        if 2**regs > MAX_AMPS:
+            raise ValueError(f"2n + 2t = {regs} qubits need 2^{regs} amplitudes, over the cap {MAX_AMPS}")
 
 
 class CountingRNG:
@@ -209,8 +213,19 @@ def _open(msg: ProtocolMessage, phase: str, mac: MacKey, regs: int | None = None
 # the keyed signing unitary
 
 
-def signing_ops(n: int, sig_seed: int) -> tuple[tuple[GateMatrix, tuple[int, ...]], ...]:
-    """Keyed signing circuit on n registers: 3n layers, deliberately non-Clifford.
+# The blocks a signing layer is built from, each made once by its qsim
+# constructor: the Paulis I, X, Y, Z; H; diag(1, e^{i pi c / 4}) for
+# c = 1, 3, 5, 7; and the qubit controlled-add with control first, then with
+# control second.
+_PAULIS = tuple(pauli_gate(p).entries for p in "IXYZ")
+_HADAMARD = hadamard_gate().entries
+_EIGHTH_PHASES = tuple(phase_eighth_gate(c).entries for c in (1, 3, 5, 7))
+_CADD = controlled_add_gate(2).entries
+_CADDS = (_CADD, _CADD.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
+
+
+def signing_ops(n: int, sig_seed: int) -> GateMatrix:
+    """Keyed signing unitary on n registers: 3n layers, deliberately non-Clifford.
 
     The fixed core is phase / Hadamard / phase with key-chosen odd eighth-phase
     exponents on every register, which already breaks Pauli covariance on one
@@ -218,58 +233,36 @@ def signing_ops(n: int, sig_seed: int) -> tuple[tuple[GateMatrix, tuple[int, ...
     register-wide Hadamard, and neighbor controlled-add, keeping every key's
     unitary far from all Pauli-covariant behaviors (distance floor is
     calibrated, see NONCOMMUTATIVITY_THRESHOLD).
+
+    Each layer is one Kronecker product of per-register blocks, register 0
+    leading, and the layers fold into one dense 2^n x 2^n unitary
+    U = L_{3n} ... L_1, so a party holds its key as a single GateMatrix. The
+    fold costs 3n products of 2^n x 2^n matrices; SessionConfig keeps n small
+    enough for the session's state vector.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = new_rng(sig_seed)
 
-    def pauli_layer() -> list[tuple[GateMatrix, tuple[int, ...]]]:
-        return [(pauli_gate("IXYZ"[rng.integers(0, 4)]), (q,)) for q in range(n)]
+    def pauli_row() -> list[np.ndarray]:
+        return [_PAULIS[rng.integers(0, 4)] for _ in range(n)]
 
-    def phase_layer() -> list[tuple[GateMatrix, tuple[int, ...]]]:
-        return [(phase_eighth_gate(int(2 * rng.integers(0, 4) + 1)), (q,)) for q in range(n)]
+    def phase_row() -> list[np.ndarray]:
+        return [_EIGHTH_PHASES[rng.integers(0, 4)] for _ in range(n)]
 
-    def h_layer() -> list[tuple[GateMatrix, tuple[int, ...]]]:
-        return [(hadamard_gate(), (q,)) for q in range(n)]
-
-    def cadd_layer() -> list[tuple[GateMatrix, tuple[int, ...]]]:
+    def cadd_row() -> list[np.ndarray]:
         q = int(rng.integers(0, n - 1))
-        flip = int(rng.integers(0, 2))
-        return [(controlled_add_gate(2), (q + 1, q) if flip else (q, q + 1))]
+        return [_PAULIS[0]] * q + [_CADDS[rng.integers(0, 2)]] + [_PAULIS[0]] * (n - q - 2)
 
-    layers: list[list[tuple[GateMatrix, tuple[int, ...]]]] = []
-    if 3 * n > 3:
-        layers.append(pauli_layer())
-    layers += [phase_layer(), h_layer(), phase_layer()]
-    while len(layers) < 3 * n:
+    rows = [pauli_row()] if n > 1 else []
+    rows += [phase_row(), [_HADAMARD] * n, phase_row()]
+    while len(rows) < 3 * n:
         kind = int(rng.integers(0, 3))
-        if kind == 0:
-            layers.append(pauli_layer())
-        elif kind == 1:
-            layers.append(h_layer())
-        else:
-            layers.append(cadd_layer())
-    return tuple(g for layer in layers for g in layer)
-
-
-def apply_signing(state: PureState, ops, inverse: bool = False) -> PureState:
-    """Apply the signing circuit (or its exact inverse) to a state."""
-    if inverse:
-        for gate, targets in reversed(ops):
-            state = apply_gate(state, gate.dagger(), targets)
-    else:
-        for gate, targets in ops:
-            state = apply_gate(state, gate, targets)
-    return state
-
-
-def signing_unitary(n: int, ops) -> np.ndarray:
-    """Dense matrix of a signing circuit (small n; calibration and tests)."""
-    dim = 2**n
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        u[:, j] = apply_signing(basis_state(2, n, decode_labels(j, n, 2)), ops).amps
-    return u
+        rows.append(pauli_row() if kind == 0 else [_HADAMARD] * n if kind == 1 else cadd_row())
+    u = np.eye(2**n, dtype=np.complex128)
+    for row in rows:
+        u = reduce(np.kron, row) @ u
+    return GateMatrix(2, n, u)
 
 
 def pauli_covariance_distance(u: np.ndarray, n: int) -> float:
@@ -277,20 +270,9 @@ def pauli_covariance_distance(u: np.ndarray, n: int) -> float:
     the nearest P' U, quantifying how far U is from letting any Pauli slip
     through. Zero for Clifford U; the signing construction keeps it above
     NONCOMMUTATIVITY_THRESHOLD for every key."""
-    from .clifford import pauli_from_bits
-
     dim = 2**n
-    paulis = []
-    for idx in range(4**n):
-        bits = np.zeros(2 * n, dtype=np.int64)
-        rem = idx
-        for q in range(n - 1, -1, -1):
-            code = rem % 4
-            rem //= 4
-            # 0=I 1=X 2=Y 3=Z
-            bits[2 * q] = 1 if code in (1, 2) else 0
-            bits[2 * q + 1] = 1 if code in (2, 3) else 0
-        paulis.append(pauli_from_bits(bits, 0))
+    # all 4^n Paulis, register 0 most significant, codes I, X, Y, Z
+    paulis = [reduce(np.kron, row) for row in product(_PAULIS, repeat=n)]
     right = [p @ u for p in paulis]
     best = np.inf
     for p in paulis[1:]:
@@ -302,7 +284,7 @@ def pauli_covariance_distance(u: np.ndarray, n: int) -> float:
 
 def signing_distance(n: int, sig_seed: int) -> float:
     """Pauli-covariance distance of the signing unitary for one key."""
-    return pauli_covariance_distance(signing_unitary(n, signing_ops(n, sig_seed)), n)
+    return pauli_covariance_distance(signing_ops(n, sig_seed).entries, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +297,7 @@ class Party:
     links: dict[str, LinkKey]
     rng: CountingRNG
     macs: dict[str, MacKey]
-    sig_ops: tuple = ()
+    signer: GateMatrix | None = None
 
 
 @dataclass
@@ -333,8 +315,8 @@ def setup(config: SessionConfig) -> SessionParties:
         links = derive_keys(config.seed, roles)
         rng = CountingRNG(new_rng(derive_seed(config.seed, "party", name)))
         macs = {role: link.mac_key(config.b) for role, link in links.items()}
-        sig_ops = signing_ops(config.n, links["alice"].sig_seed()) if "alice" in links else ()
-        return Party(config, links, rng, macs, sig_ops)
+        signer = signing_ops(config.n, links["alice"].sig_seed()) if "alice" in links else None
+        return Party(config, links, rng, macs, signer)
 
     return SessionParties(party("alice", ["alice"]), party("bob", ["bob"]), party("arbiter", ["alice", "bob"]))
 
@@ -349,7 +331,7 @@ def alice_sign(alice: Party, message_state: PureState, message_copy: PureState) 
     for st in (message_state, message_copy):
         if st.d != 2 or st.n != n:
             raise ValueError(f"message must be {n} qubit registers, got d={st.d}, n={st.n}")
-    signed = apply_signing(message_state, alice.sig_ops)
+    signed = apply_gate(message_state, alice.signer, range(n))
     block = qauth_encode(tensor(signed, message_copy), alice.links["alice"].auth_key_at(0), t)
     return _send(PHASE_SIGMA, block, alice.macs["alice"], 0)
 
@@ -413,7 +395,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     if not ok:
         return abort("arb_auth_inner")
 
-    unsigned = apply_signing(core, arbiter.sig_ops, inverse=True)
+    unsigned = apply_gate(core, arbiter.signer.dagger(), range(n))
     if arbiter.config.mode == "referee":
         try:
             factor, rest = extract_factor(unsigned, list(range(n)))
@@ -426,7 +408,7 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
         r = 1 if rec.outcome == 0 else 0
         post = rec.post_state
 
-    resigned = apply_signing(post, arbiter.sig_ops)
+    resigned = apply_gate(post, arbiter.signer, range(n))
     reply_core = permute_registers(resigned, list(range(n, 2 * n)) + list(range(n)))
     block = qauth_encode(reply_core, bob_link.auth_key_at(1), t)
     return _send(PHASE_T_REPLY, block, bob_mac, 1, r=r)

@@ -157,7 +157,7 @@ def _run_bob_pauli_forgery(params, trials, seed):
 
 def unrelated_signer(parties, cfg, tseed) -> None:
     """Doctor: the arbiter unsigns with a signing key unrelated to alice's."""
-    parties.arbiter.sig_ops = signing_ops(cfg.n, derive_seed(tseed, "unrelated_signer"))
+    parties.arbiter.signer = signing_ops(cfg.n, derive_seed(tseed, "unrelated_signer"))
 
 
 def _run_wrong_key_binding(params, trials, seed):

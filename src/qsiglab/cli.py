@@ -69,6 +69,10 @@ def execute(args: argparse.Namespace) -> int:
             print(f"error: scenario {args.scenario!r} does not take --{key}", file=sys.stderr)
             return 2
         overrides[key] = value
+    path = _report_path(args)
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        print(f"error: report directory {os.path.dirname(path)!r} does not exist", file=sys.stderr)
+        return 2
 
     try:
         report = run_scenario(Scenario(args.scenario, overrides, args.trials, args.seed))
@@ -77,7 +81,6 @@ def execute(args: argparse.Namespace) -> int:
         return 2
 
     ok, regime_text = regime_check(report)
-    path = _report_path(args)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_report_json(report) + "\n")

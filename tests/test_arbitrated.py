@@ -1,4 +1,4 @@
-"""Three-party session tests: signing circuit, message flow, failure stages."""
+"""Three-party session tests: signing unitary, message flow, failure stages."""
 import dataclasses
 import json
 
@@ -18,7 +18,6 @@ from qsiglab.arbitrated import (
     ProtocolMessage,
     SessionConfig,
     alice_sign,
-    apply_signing,
     arbiter_adjudicate,
     bob_finalize,
     bob_wrap,
@@ -28,7 +27,6 @@ from qsiglab.arbitrated import (
     setup,
     signing_distance,
     signing_ops,
-    signing_unitary,
 )
 from qsiglab import arbitrated
 from qsiglab.attacks import Scenario, run_scenario
@@ -58,7 +56,7 @@ def test_config_defaults():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(n=0), dict(t=-1), dict(mode="lenient"), dict(b=8)],
+    [dict(n=0), dict(t=-1), dict(mode="lenient"), dict(b=8), dict(n=9, t=2), dict(n=11, t=0)],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -73,20 +71,13 @@ def test_counting_rng_counts():
 
 
 # ---------------------------------------------------------------------------
-# the signing circuit
+# the signing unitary
 
 
 def test_signing_ops_deterministic():
-    a, b = signing_ops(2, 123), signing_ops(2, 123)
-    assert len(a) == len(b)
-    for (ga, ta), (gb, tb) in zip(a, b):
-        assert ta == tb
-        assert np.array_equal(ga.entries, gb.entries)
-    c = signing_ops(2, 124)
-    assert not all(
-        np.array_equal(ga.entries, gc.entries) and ta == tc
-        for (ga, ta), (gc, tc) in zip(a, c)
-    )
+    a = signing_ops(2, 123).entries
+    assert np.array_equal(a, signing_ops(2, 123).entries)
+    assert not np.array_equal(a, signing_ops(2, 124).entries)
 
 
 def _reference_signing_unitary(n: int, sig_seed: int) -> np.ndarray:
@@ -124,23 +115,17 @@ def _reference_signing_unitary(n: int, sig_seed: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signing_unitary_matches_gate_by_gate_reference(n):
     for seed in range(100 * n, 100 * n + 16):
-        u = signing_unitary(n, signing_ops(n, seed))
+        u = signing_ops(n, seed).entries
         assert np.abs(u - _reference_signing_unitary(n, seed)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_apply_signing_inverse_round_trip(n):
+def test_signing_inverse_round_trip(n):
     rng = new_rng(n)
-    ops = signing_ops(n, 55 + n)
+    signer = signing_ops(n, 55 + n)
     st = sample_random_pure(2, n, rng)
-    back = apply_signing(apply_signing(st, ops), ops, inverse=True)
+    back = apply_gate(apply_gate(st, signer, range(n)), signer.dagger(), range(n))
     assert np.abs(back.amps - st.amps).max() < 1e-9
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_signing_unitary_is_unitary(n):
-    u = signing_unitary(n, signing_ops(n, 77 + n))
-    assert np.abs(u.conj().T @ u - np.eye(2**n)).max() < 1e-9
 
 
 def test_covariance_distance_vanishes_for_cliffords():
@@ -163,7 +148,7 @@ def test_covariance_distance_positive_off_axis():
 
 def test_covariance_distance_zero_for_diagonal_magic():
     # the eighth-phase gate is not Clifford, yet Z commutes with it, so the
-    # min-over-Paulis distance is still zero; the signing circuit must do better
+    # min-over-Paulis distance is still zero; the signing unitary must do better
     assert pauli_covariance_distance(phase_eighth_gate().entries, 1) < 1e-6
 
 
@@ -219,10 +204,7 @@ def test_setup_shares_derived_material():
     parties = setup(cfg)
     assert parties.alice.macs["alice"].point == parties.arbiter.macs["alice"].point
     assert parties.bob.macs["bob"].point == parties.arbiter.macs["bob"].point
-    assert len(parties.alice.sig_ops) == len(parties.arbiter.sig_ops)
-    for (ga, ta), (gr, tr_) in zip(parties.alice.sig_ops, parties.arbiter.sig_ops):
-        assert ta == tr_
-        assert np.array_equal(ga.entries, gr.entries)
+    assert np.array_equal(parties.alice.signer.entries, parties.arbiter.signer.entries)
 
 
 def test_signing_twice_consumes_the_pad():
@@ -320,7 +302,7 @@ def test_stage_arb_auth_inner():
 def test_stage_sig_check_under_wrong_key():
     cfg = SessionConfig(seed=123)
     parties = setup(cfg)
-    parties.arbiter.sig_ops = signing_ops(cfg.n, 999999)
+    parties.arbiter.signer = signing_ops(cfg.n, 999999)
     tr = run_session(cfg, parties=parties)
     assert not tr.verdict.accepted
     assert tr.verdict.failure_stage == "sig_check"

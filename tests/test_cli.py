@@ -66,6 +66,18 @@ def test_out_dir_environment_default(tmp_path, monkeypatch, capsys):
     assert json.loads(target.read_text())["scenario"]["seed"] == 7
 
 
+def test_missing_report_directory_rejected_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(scenario):
+        raise AssertionError("the scenario ran before the report directory was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    path = tmp_path / "missing" / "r.json"
+    code = cli.main(["run", "--scenario", "mac_forgery", "--trials", "2", "--out", str(path)])
+    assert code == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
 def test_inapplicable_tunable_rejected(capsys):
     code = cli.main(["run", "--scenario", "mac_forgery", "--trials", "2", "--d", "5"])
     assert code == 2

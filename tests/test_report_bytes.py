@@ -90,7 +90,7 @@ def test_report_bytes_unchanged(name, mode, seed):
 
 # one SHA-256 over the transcripts of honest sessions and of eve's Pauli tamper
 # at each channel position, for seeds 0-5 in both modes at t = 4 and 6
-TRANSCRIPTS_DIGEST = "d179baf42b3b1806a5d4f9070b8ea730d55c319d552b337ada6eeeb7f9bff4d2"
+TRANSCRIPTS_DIGEST = "34b579e22436248952c76c2b14c243c8422027ea077ad60f42803f7cd5a6900a"
 
 
 def test_transcript_bytes_unchanged():

@@ -36,3 +36,15 @@ def test_script_runs(script, args):
         for t in (4, 6):
             assert kernels[f"qauth_encode_t{t}_ms"] > 0
             assert kernels[f"qauth_verify_t{t}_ms"] > 0
+
+
+def test_bench_record_label_needs_out():
+    # without --out a record has no file to go to; the script refuses before it runs anything
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label", "x"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--out is required" in proc.stderr
