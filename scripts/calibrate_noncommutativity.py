@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure the Pauli-covariance distance floor of the keyed signing circuit.
+"""Measure the Pauli-covariance distance floor of the keyed signing unitary.
 
 The session protocol asserts that no generalized Pauli commutes (up to phase
 and relabeling) with the signing unitary of any key. This script sweeps many
