@@ -301,3 +301,31 @@ def test_gate_lists_pinned():
             h.update(repr(op.gates).encode())
             h.update(repr(op.inverse().gates).encode())
     assert h.hexdigest() == _GATE_LIST_DIGEST, h.hexdigest()
+
+
+# SHA-256 over the bytes of apply_clifford (op, then its inverse), apply_clifford_padded
+# and undo_clifford_column (trap weights, column index, payload) for sample_clifford(m,
+# new_rng(s)), m = 1..16, s = 0..7, t = min(6, m - 1). The seeds give the H layer zero,
+# odd and even counts of rotations, some of which end away from the original layout.
+_APPLICATION_BYTES_DIGEST = "c81823e334e482bd03f88979d8e83dde1c1217a513d944ceaa66a2e2153f3849"
+
+
+def test_application_bytes_pinned():
+    h = hashlib.sha256()
+
+    def pick(w):
+        h.update(w.tobytes())
+        return s % len(w)
+
+    for m in range(1, 17):
+        t = min(6, m - 1)
+        for s in range(8):
+            op = sample_clifford(m, new_rng(s))
+            rng = new_rng(1000 + s)
+            st, payload = sample_random_pure(2, m, rng), sample_random_pure(2, m - t, rng)
+            h.update(apply_clifford(st, op).amps.tobytes())
+            h.update(apply_clifford(st, op.inverse()).amps.tobytes())
+            h.update(apply_clifford_padded(payload, op, t).amps.tobytes())
+            col, kept = undo_clifford_column(st, op, t, pick)
+            h.update(col.to_bytes(1, "little") + kept.tobytes())
+    assert h.hexdigest() == _APPLICATION_BYTES_DIGEST, h.hexdigest()
