@@ -7,12 +7,13 @@
 A record holds the checkout's git sha, the machine (nproc, Python and numpy
 versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
-``qsigbench/run.py --trace 1`` and fixed-size kernel timings. The benchmark
+``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
+faults of one trap encode and verify. The benchmark
 and the kernels run as subprocesses on the checkout's own ``src/`` and
 ``qsigbench/``, so one copy of this script records any checkout. A full
 record takes about five minutes on a 2-core machine.
 
-``--kernels CHECKOUT`` only prints the kernel timings of that checkout as
+``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
 JSON; the full record runs it in a single-threaded subprocess.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,6 +52,17 @@ def _median_ms(fn, reps: int) -> float:
     return statistics.median(times) * 1e3
 
 
+def _median_minflt(fn, reps: int) -> float:
+    """Median count of minor page faults in one call of fn: memory the
+    allocator has handed back to the OS faults in again, page by page."""
+    faults = []
+    for _ in range(reps):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(faults)
+
+
 def kernel_timings(checkout: Path) -> dict:
     """Median wall ms of fixed-size kernel calls on the checkout's qsiglab,
     plus the median calibration time of its qsigbench/calib.py."""
@@ -74,6 +87,8 @@ def kernel_timings(checkout: Path) -> dict:
         block = qauth_encode(payload, key, t)
         out[f"qauth_encode_t{t}_ms"] = _median_ms(lambda: qauth_encode(payload, key, t), 20)
         out[f"qauth_verify_t{t}_ms"] = _median_ms(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
+        out[f"qauth_encode_t{t}_minflt"] = _median_minflt(lambda: qauth_encode(payload, key, t), 20)
+        out[f"qauth_verify_t{t}_minflt"] = _median_minflt(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
     # the size of truesig's omega-pair check at d = 7, k = 3
     st = sample_random_pure(7, 5, new_rng(7))
     out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)

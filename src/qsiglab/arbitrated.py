@@ -224,6 +224,12 @@ _CADD = controlled_add_gate(2).entries
 _CADDS = (_CADD, _CADD.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices as one broadcast product, without its
+    general-shape set-up; each entry is the same single product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def signing_ops(n: int, sig_seed: int) -> GateMatrix:
     """Keyed signing unitary on n registers: 3n layers, deliberately non-Clifford.
 
@@ -261,7 +267,7 @@ def signing_ops(n: int, sig_seed: int) -> GateMatrix:
         rows.append(pauli_row() if kind == 0 else [_HADAMARD] * n if kind == 1 else cadd_row())
     u = np.eye(2**n, dtype=np.complex128)
     for row in rows:
-        u = reduce(np.kron, row) @ u
+        u = reduce(_kron, row) @ u
     return GateMatrix(2, n, u)
 
 

@@ -8,11 +8,21 @@ followed by S and CZ phases. A uniform Pauli layer then sets the sign bits,
 giving every Clifford (mod global phase) the same probability. A CliffordOp
 keeps these draws as they came and derives its gate list from them.
 
-Application works in place, on a state vector or on the columns of a dense
-matrix, and does not go gate by gate: F2 with the permutation, then the H
-layer, then F1 with the Pauli layer. The H layer runs each butterfly on one
-of the top bits of a rotated amplitude layout, where its rows are long.
-Dense matrices are materialized only on request and only for m <= MATRIX_CAP.
+Application works on a state vector or on the columns of a dense matrix,
+and does not go gate by gate: F2 with the permutation, then the H layer, then
+F1 with the Pauli layer. The H layer runs each butterfly on one of the top
+bits of a rotated amplitude layout, where its rows are long. Dense matrices
+are materialized only on request and only for m <= MATRIX_CAP.
+
+Each application runs on two buffers of the state's size. Every stage and
+every rotation writes from the buffer that holds the data into the idle one,
+a butterfly keeps its difference half in the idle one, and the result is
+returned from whichever buffer holds it. What this saves is fresh memory:
+glibc's malloc hands the free top of its heap back to the OS once it exceeds
+the trim threshold (about 2 MiB after 1 MiB buffers have been freed), so at
+16 qubits each page a call touches beyond what it keeps is faulted in again
+by the next call. The cost follows the fresh bytes per call, not the count
+of allocations; no buffer outlives its call.
 
 Trap authentication uses two trap-aware forms of the same application. The
 first H-free stage is a permutation with a phase, so apply_clifford_padded
@@ -98,9 +108,7 @@ class CliffordOp:
         """Dense matrix realization; capped at m <= MATRIX_CAP."""
         if self.m > MATRIX_CAP:
             raise ValueError(f"dense realization capped at m={MATRIX_CAP}, got {self.m}")
-        mat = np.eye(2**self.m, dtype=np.complex128)
-        _apply(mat, self)
-        return GateMatrix(2, self.m, mat)
+        return GateMatrix(2, self.m, _apply(np.eye(2**self.m, dtype=np.complex128), self))
 
 
 def _borel_gates(lower, gamma) -> list[tuple[str, tuple[int, ...]]]:
@@ -133,7 +141,7 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 
 
 # ---------------------------------------------------------------------------
-# fast in-place application
+# fast application
 #
 # Each H-free stage, F2 then the permutation or F1 then X and Z, maps basis
 # states as |x> -> i^q(y) |P y + xs> with y = (I + L) x over GF(2) and
@@ -149,9 +157,9 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 #
 # A butterfly on qubit q pairs rows of 2^(m-1-q) amplitudes, which are short
 # for high q. The H layer therefore keeps the state in a rotated qubit order
-# and moves the next qubit up with one transpose copy whenever it falls below
-# the top _TOP bits; each element still meets the same butterflies in the same
-# order, so the bytes do not change.
+# and moves the next qubit up with one transpose copy into the idle buffer
+# whenever it falls below the top _TOP bits; each element still meets the same
+# butterflies in the same order, so the bytes do not change.
 #
 # Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. The phase
 # is const + sum_j lin[j] x_j + 2 sum_{j,k} quad[j]_k x_j x_k (mod 4), with
@@ -227,30 +235,36 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
     return _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad, lo)
 
 
-def _apply_stage(a2: np.ndarray, m: int, borel, perm, xs, zs, inverse: bool) -> None:
-    """|x> -> i^q(y) |P y + xs>, y = (I + L) x, or its inverse, in place."""
+def _factor(phase: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """i^phase, shaped to multiply the rows of a."""
+    return _I_POW[phase].reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
+    """out = |x> -> i^q(y) |P y + xs>, y = (I + L) x, of src, which it phases
+    in place first."""
     dest, phase = _stage(m, borel, perm, xs, zs)
-    # The phase is dropped before the state is copied, so at most the index
-    # and one state copy are alive at once. The inverse a[x] = i^-q[x]
-    # out[dest[x]] moves its phase to the destination first, for that reason.
-    if inverse:
-        np.negative(phase, out=phase)
-        at_dest = np.empty_like(phase)
-        at_dest[dest] = phase
-        del phase
-        a2 *= _I_POW[at_dest][:, None]
-        del at_dest
-        a2[:] = a2[dest]
-    else:
-        a2 *= _I_POW[phase][:, None]
-        del phase
-        a2[dest] = a2.copy()
+    src *= _factor(phase, src)
+    del phase
+    out[dest] = src
 
 
-def _hadamard(a2: np.ndarray, q: int) -> None:
-    v = a2.reshape(1 << q, 2, -1)
+def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
+    """out = the inverse of _scatter's map, of src: out[x] = i^-q[x] src[dest[x]].
+    Each element meets the same product as when src is phased at dest first."""
+    dest, phase = _stage(m, borel, perm, xs, zs)
+    # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
+    np.take(src, dest, axis=0, out=out, mode="clip")
+    del dest
+    np.negative(phase, out=phase)
+    out *= _factor(phase, out)
+
+
+def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
+    """H on qubit q of a, in place; the difference half goes through idle."""
+    v = a.reshape(1 << q, 2, -1)
     v0, v1 = v[:, 0], v[:, 1]
-    d = v0 - v1
+    d = np.subtract(v0, v1, out=idle.reshape(-1)[: v0.size].reshape(v0.shape))
     v0 += v1
     v0 *= _INV_SQRT2
     np.multiply(d, _INV_SQRT2, out=v1)
@@ -261,22 +275,31 @@ def _rotated(buf: np.ndarray, m: int, s: int) -> np.ndarray:
     return buf.reshape(1 << s, 1 << (m - s), -1).transpose(1, 0, 2)
 
 
-def _hadamards(a2: np.ndarray, m: int, hs: list[int], inverted: bool) -> None:
-    """H on each qubit of hs, in that order, in place on a2. hs ascends, or
-    descends for an inverse; a rotation puts the qubit on the top bit or on
-    bit _TOP - 1 respectively, so that the next qubits need no copy."""
-    buf, r = a2, 0  # buf holds qubits r, ..., m - 1, 0, ..., r - 1 from the top bit down
+def _rotate(buf: np.ndarray, idle: np.ndarray, m: int, s: int) -> None:
+    """idle = buf with its top s qubit bits moved below the other m - s."""
+    idle.reshape(1 << (m - s), 1 << s, -1)[...] = _rotated(buf, m, s)
+
+
+def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, hs: list[int], inverted: bool):
+    """H on each qubit of hs, in that order; returns the buffer that holds the
+    result and the idle one. hs ascends, or descends for an inverse; a rotation
+    puts the qubit on the top bit or on bit _TOP - 1 respectively, so that the
+    next qubits need no copy. Each rotation writes into the idle buffer, and
+    the two swap roles."""
+    r = 0  # buf holds qubits r, ..., m - 1, 0, ..., r - 1 from the top bit down
     for q in hs:
         p = (q - r) % m
         if p >= _TOP:
             p = _TOP - 1 if inverted else 0
-            buf = _rotated(buf, m, (q - p - r) % m).copy()
+            _rotate(buf, idle, m, (q - p - r) % m)
+            buf, idle = idle, buf
             r = (q - p) % m
-        _hadamard(buf, p)
-    # test identity, not r: rotations that come back to r = 0 leave a new buffer
-    if buf is not a2:
-        s = -r % m
-        a2.reshape(1 << (m - s), 1 << s, -1)[...] = _rotated(buf, m, s)
+        _hadamard(buf, p, idle)
+    # test r, not the buffer: an even count of rotations can end on buf with r != 0
+    if r:
+        _rotate(buf, idle, m, -r % m)
+        buf, idle = idle, buf
+    return buf, idle
 
 
 def _layers(op: CliffordOp):
@@ -289,13 +312,16 @@ def _layers(op: CliffordOp):
     return first, hs, last
 
 
-def _apply(a: np.ndarray, op: CliffordOp) -> None:
-    """Apply op in place on a (2^m,) vector or (2^m, batch) array."""
-    a2 = a.reshape(1 << op.m, -1)
+def _apply(a: np.ndarray, op: CliffordOp) -> np.ndarray:
+    """op applied to a (2^m,) vector or (2^m, batch) array, which it takes as
+    scratch; returns the result, in a or in the one other buffer it makes."""
+    step = _gather if op.inverted else _scatter
     first, hs, last = _layers(op)
-    _apply_stage(a2, op.m, *first, op.inverted)
-    _hadamards(a2, op.m, hs, op.inverted)
-    _apply_stage(a2, op.m, *last, op.inverted)
+    buf = np.empty_like(a)
+    step(a, buf, op.m, *first)
+    buf, idle = _hadamards(buf, a, op.m, hs, op.inverted)
+    step(buf, idle, op.m, *last)
+    return idle
 
 
 def _check_state(state: PureState, n: int) -> None:
@@ -308,9 +334,7 @@ def _check_state(state: PureState, n: int) -> None:
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
     """Apply a Clifford to a qubit state (all registers)."""
     _check_state(state, op.m)
-    amps = state.amps.copy()
-    _apply(amps, op)
-    return PureState(2, op.m, amps)
+    return PureState(2, op.m, _apply(state.amps.copy(), op))
 
 
 def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState:
@@ -327,10 +351,10 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
     dest, phase = _stage(op.m, *first, lo=t)
     amps = np.zeros(1 << op.m, dtype=np.complex128)
     amps[dest] = state.amps * _I_POW[phase]
-    a2 = amps.reshape(-1, 1)
-    _hadamards(a2, op.m, hs, False)
-    _apply_stage(a2, op.m, *last, False)
-    return PureState(2, op.m, amps)
+    del dest, phase
+    buf, idle = _hadamards(amps, np.empty_like(amps), op.m, hs, False)
+    _scatter(buf, idle, op.m, *last)
+    return PureState(2, op.m, idle)
 
 
 def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tuple[int, np.ndarray]:
@@ -346,13 +370,17 @@ def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tupl
         raise ValueError("the column read takes an op that is not inverted")
     _check_state(state, op.m)
     first, hs, last = _layers(op)
-    amps = state.amps.copy()
-    a2 = amps.reshape(-1, 1)
-    _apply_stage(a2, op.m, *last, True)
-    _hadamards(a2, op.m, hs[::-1], True)
+    amps = np.empty_like(state.amps)
+    _gather(state.amps, amps, op.m, *last)
+    amps, idle = _hadamards(amps, np.empty_like(amps), op.m, hs[::-1], True)
     dest, phase = _stage(op.m, *first)
+    # |amps|^2 and its gather through dest go to the two halves of the idle buffer
+    sq, weights = np.split(idle.view(np.float64), 2)
+    np.abs(amps, out=sq)
+    np.multiply(sq, sq, out=sq)
+    np.take(sq, dest, out=weights, mode="clip")
     cols = 1 << t
-    col = pick((np.abs(amps) ** 2)[dest].reshape(-1, cols).sum(axis=0))
+    col = pick(weights.reshape(-1, cols).sum(axis=0))
     return col, amps[dest[col::cols]] * _I_POW[-phase[col::cols]]
 
 

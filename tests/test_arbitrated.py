@@ -112,6 +112,16 @@ def _reference_signing_unitary(n: int, sig_seed: int) -> np.ndarray:
     return u
 
 
+def test_layer_kron_is_bytewise_numpy_kron():
+    # the fold's products of blocks give np.kron's bytes, signed zeros included
+    rng = new_rng(7)
+    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in (1, 2, 4, 8)]
+    blocks += [arbitrated._HADAMARD, *arbitrated._EIGHTH_PHASES, *arbitrated._CADDS, *arbitrated._PAULIS]
+    for a in blocks:
+        for b in blocks:
+            assert arbitrated._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signing_unitary_matches_gate_by_gate_reference(n):
     for seed in range(100 * n, 100 * n + 16):

@@ -275,9 +275,10 @@ def test_large_block_application_speed():
     out = apply_clifford(st, op)
     elapsed = time.perf_counter() - t0
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
-    # two permutation passes built from the sampled data, around one H layer:
-    # about 6.5 ms on a 2-core machine, of which the H layer is about 4 ms;
-    # 30-40 ms gate by gate. The 1 s bound is a regression fence
+    # two permutation passes built from the sampled data, around one H layer,
+    # on two buffers: about 7.5 ms for this op (16 H) on a 2-core machine, of
+    # which the H layer is about 3 ms; 30-40 ms gate by gate. The 1 s bound is
+    # a regression fence
     assert elapsed < 1.0
 
 

@@ -36,6 +36,8 @@ def test_script_runs(script, args):
         for t in (4, 6):
             assert kernels[f"qauth_encode_t{t}_ms"] > 0
             assert kernels[f"qauth_verify_t{t}_ms"] > 0
+        assert "qauth_encode_t6_minflt" in kernels
+        assert "qauth_verify_t6_minflt" in kernels
 
 
 def test_bench_record_label_needs_out():
