@@ -43,24 +43,22 @@ SINGLE_THREAD = {
 }
 
 
-def _median_ms(fn, reps: int) -> float:
-    times = []
+def _median_ms_minflt(fn, reps: int) -> tuple[float, float]:
+    """Median wall ms and median count of minor page faults of one call of
+    fn. Memory the allocator has handed back to the OS faults in again, page
+    by page, on the next call that touches it."""
+    times, faults = [], []
     for _ in range(reps):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
-
-
-def _median_minflt(fn, reps: int) -> float:
-    """Median count of minor page faults in one call of fn: memory the
-    allocator has handed back to the OS faults in again, page by page."""
-    faults = []
-    for _ in range(reps):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fn()
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return statistics.median(faults)
+    return statistics.median(times) * 1e3, statistics.median(faults)
+
+
+def _median_ms(fn, reps: int) -> float:
+    return _median_ms_minflt(fn, reps)[0]
 
 
 def kernel_timings(checkout: Path) -> dict:
@@ -85,10 +83,12 @@ def kernel_timings(checkout: Path) -> dict:
         key = AuthKey(t)
         payload = sample_random_pure(2, 4 + t, new_rng(t))
         block = qauth_encode(payload, key, t)
-        out[f"qauth_encode_t{t}_ms"] = _median_ms(lambda: qauth_encode(payload, key, t), 20)
-        out[f"qauth_verify_t{t}_ms"] = _median_ms(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
-        out[f"qauth_encode_t{t}_minflt"] = _median_minflt(lambda: qauth_encode(payload, key, t), 20)
-        out[f"qauth_verify_t{t}_minflt"] = _median_minflt(lambda: qauth_verify(block, key, t, new_rng(0)), 20)
+        out[f"qauth_encode_t{t}_ms"], out[f"qauth_encode_t{t}_minflt"] = _median_ms_minflt(
+            lambda: qauth_encode(payload, key, t), 20
+        )
+        out[f"qauth_verify_t{t}_ms"], out[f"qauth_verify_t{t}_minflt"] = _median_ms_minflt(
+            lambda: qauth_verify(block, key, t, new_rng(0)), 20
+        )
     # the size of truesig's omega-pair check at d = 7, k = 3
     st = sample_random_pure(7, 5, new_rng(7))
     out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)

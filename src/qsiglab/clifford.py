@@ -245,7 +245,6 @@ def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> N
     in place first."""
     dest, phase = _stage(m, borel, perm, xs, zs)
     src *= _factor(phase, src)
-    del phase
     out[dest] = src
 
 
@@ -255,7 +254,7 @@ def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> No
     dest, phase = _stage(m, borel, perm, xs, zs)
     # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
     np.take(src, dest, axis=0, out=out, mode="clip")
-    del dest
+    del dest  # the factor below can take its memory
     np.negative(phase, out=phase)
     out *= _factor(phase, out)
 
@@ -270,14 +269,9 @@ def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
     np.multiply(d, _INV_SQRT2, out=v1)
 
 
-def _rotated(buf: np.ndarray, m: int, s: int) -> np.ndarray:
-    """View of buf with its top s qubit bits moved below the other m - s."""
-    return buf.reshape(1 << s, 1 << (m - s), -1).transpose(1, 0, 2)
-
-
 def _rotate(buf: np.ndarray, idle: np.ndarray, m: int, s: int) -> None:
     """idle = buf with its top s qubit bits moved below the other m - s."""
-    idle.reshape(1 << (m - s), 1 << s, -1)[...] = _rotated(buf, m, s)
+    idle.reshape(1 << (m - s), 1 << s, -1)[...] = buf.reshape(1 << s, 1 << (m - s), -1).transpose(1, 0, 2)
 
 
 def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, hs: list[int], inverted: bool):
@@ -351,7 +345,6 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
     dest, phase = _stage(op.m, *first, lo=t)
     amps = np.zeros(1 << op.m, dtype=np.complex128)
     amps[dest] = state.amps * _I_POW[phase]
-    del dest, phase
     buf, idle = _hadamards(amps, np.empty_like(amps), op.m, hs, False)
     _scatter(buf, idle, op.m, *last)
     return PureState(2, op.m, idle)
