@@ -8,11 +8,10 @@ followed by S and CZ phases. A uniform Pauli layer then sets the sign bits,
 giving every Clifford (mod global phase) the same probability. A CliffordOp
 keeps these draws as they came and derives its gate list from them.
 
-Application works on a state vector or on the columns of a dense matrix,
-and does not go gate by gate: F2 with the permutation, then the H layer, then
-F1 with the Pauli layer. The H layer runs each butterfly on one of the top
-bits of a rotated amplitude layout, where its rows are long. Dense matrices
-are materialized only on request and only for m <= MATRIX_CAP.
+Application works on a state vector and does not go gate by gate: F2 with
+the permutation, then the H layer, then F1 with the Pauli layer. The H layer
+runs each butterfly on one of the top bits of a rotated amplitude layout,
+where its rows are long.
 
 Each application runs on two buffers of the state's size. Every stage and
 every rotation writes from the buffer that holds the data into the idle one,
@@ -24,14 +23,16 @@ the trim threshold (about 2 MiB after 1 MiB buffers have been freed), so at
 by the next call. The cost follows the fresh bytes per call, not the count
 of allocations; no buffer outlives its call.
 
-Trap authentication uses two trap-aware forms of the same application. The
-first H-free stage is a permutation with a phase, so apply_clifford_padded
-applies an op to a payload followed by t |0> traps without building that
-block: only the 2^n payload rows go through the stage, into a zeroed array.
+There are two application routines, both trap-aware. The first H-free
+stage is a permutation with a phase, so apply_clifford_padded applies an op
+to a payload followed by t |0> traps without building that block: only the
+2^n payload rows go through the stage, into a zeroed array.
 undo_clifford_column undoes an op and keeps one column of the (payload,
 traps) view: the inverse ends with that stage, whose phase leaves squared
 magnitudes alone, so the column weights are read before it and only the
-kept column goes through it. Both give the values of the full path.
+kept column goes through it. apply_clifford is these forms with no traps:
+the padded form for an op, and for an inverted op the column read's undo up
+to that last stage, then the stage's gather on the whole vector.
 
 Bit conventions: a Pauli on m qubits is a length-2m GF(2) vector with
 v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
@@ -44,9 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qsim import GateMatrix, PureState
-
-MATRIX_CAP = 12
+from .qsim import PureState
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -103,12 +102,6 @@ class CliffordOp:
         if self.inverted:
             return tuple(("sdg" if name == "s" else name, qs) for name, qs in reversed(gates))
         return tuple(gates)
-
-    def unitary(self) -> GateMatrix:
-        """Dense matrix realization; capped at m <= MATRIX_CAP."""
-        if self.m > MATRIX_CAP:
-            raise ValueError(f"dense realization capped at m={MATRIX_CAP}, got {self.m}")
-        return GateMatrix(2, self.m, _apply(np.eye(2**self.m, dtype=np.complex128), self))
 
 
 def _borel_gates(lower, gamma) -> list[tuple[str, tuple[int, ...]]]:
@@ -235,16 +228,11 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
     return _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad, lo)
 
 
-def _factor(phase: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """i^phase, shaped to multiply the rows of a."""
-    return _I_POW[phase].reshape((-1,) + (1,) * (a.ndim - 1))
-
-
 def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
     """out = |x> -> i^q(y) |P y + xs>, y = (I + L) x, of src, which it phases
     in place first."""
     dest, phase = _stage(m, borel, perm, xs, zs)
-    src *= _factor(phase, src)
+    src *= _I_POW[phase]
     out[dest] = src
 
 
@@ -253,10 +241,10 @@ def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> No
     Each element meets the same product as when src is phased at dest first."""
     dest, phase = _stage(m, borel, perm, xs, zs)
     # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
-    np.take(src, dest, axis=0, out=out, mode="clip")
+    np.take(src, dest, out=out, mode="clip")
     del dest  # the factor below can take its memory
     np.negative(phase, out=phase)
-    out *= _factor(phase, out)
+    out *= _I_POW[phase]
 
 
 def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
@@ -297,25 +285,9 @@ def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, hs: list[int], inverte
 
 
 def _layers(op: CliffordOp):
-    """The H-free stage op applies first, its H qubits in order, and the
-    H-free stage it applies last."""
-    first, last = (op.f2, op.perm, (), ()), (op.f1, (), op.xs, op.zs)
-    hs = [q for q, h in enumerate(op.had) if h]
-    if op.inverted:
-        return last, hs[::-1], first
-    return first, hs, last
-
-
-def _apply(a: np.ndarray, op: CliffordOp) -> np.ndarray:
-    """op applied to a (2^m,) vector or (2^m, batch) array, which it takes as
-    scratch; returns the result, in a or in the one other buffer it makes."""
-    step = _gather if op.inverted else _scatter
-    first, hs, last = _layers(op)
-    buf = np.empty_like(a)
-    step(a, buf, op.m, *first)
-    buf, idle = _hadamards(buf, a, op.m, hs, op.inverted)
-    step(buf, idle, op.m, *last)
-    return idle
+    """The H-free stage a forward op applies first, its H qubits in order, and
+    the H-free stage it applies last."""
+    return (op.f2, op.perm, (), ()), [q for q, h in enumerate(op.had) if h], (op.f1, (), op.xs, op.zs)
 
 
 def _check_state(state: PureState, n: int) -> None:
@@ -326,13 +298,18 @@ def _check_state(state: PureState, n: int) -> None:
 
 
 def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
-    """Apply a Clifford to a qubit state (all registers)."""
-    _check_state(state, op.m)
-    return PureState(2, op.m, _apply(state.amps.copy(), op))
+    """Apply a Clifford to a qubit state (all registers): the padded form
+    with no traps, or for an inverted op the undo of its forward op up to the
+    first stage, then that stage's gather."""
+    if not op.inverted:
+        return apply_clifford_padded(state, op, 0)
+    amps, idle, first = _undo_to_first_stage(state, op.inverse())
+    _gather(amps, idle, op.m, *first)
+    return PureState(2, op.m, idle)
 
 
 def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState:
-    """apply_clifford(tensor(state, |0^t>), op) for an op that is not inverted.
+    """op applied to tensor(state, |0^t>), for an op that is not inverted.
 
     Only the 2^n rows of the payload are nonzero, and the first stage is a
     permutation with a phase, so it takes just those rows (the traps are the
@@ -345,9 +322,23 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
     dest, phase = _stage(op.m, *first, lo=t)
     amps = np.zeros(1 << op.m, dtype=np.complex128)
     amps[dest] = state.amps * _I_POW[phase]
+    del dest, phase  # the last stage's tables can take their memory
     buf, idle = _hadamards(amps, np.empty_like(amps), op.m, hs, False)
     _scatter(buf, idle, op.m, *last)
     return PureState(2, op.m, idle)
+
+
+def _undo_to_first_stage(state: PureState, op: CliffordOp):
+    """The inverse of a forward op on state, all but its last step: the
+    gather of op's last stage, then the H layer in reverse. Returns the
+    buffer that holds the result, the idle one, and op's first stage, whose
+    gather completes the inverse."""
+    _check_state(state, op.m)
+    first, hs, last = _layers(op)
+    amps = np.empty_like(state.amps)
+    _gather(state.amps, amps, op.m, *last)
+    amps, idle = _hadamards(amps, np.empty_like(amps), op.m, hs[::-1], True)
+    return amps, idle, first
 
 
 def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tuple[int, np.ndarray]:
@@ -361,11 +352,7 @@ def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tupl
     equal those of the full inverse."""
     if op.inverted:
         raise ValueError("the column read takes an op that is not inverted")
-    _check_state(state, op.m)
-    first, hs, last = _layers(op)
-    amps = np.empty_like(state.amps)
-    _gather(state.amps, amps, op.m, *last)
-    amps, idle = _hadamards(amps, np.empty_like(amps), op.m, hs[::-1], True)
+    amps, idle, first = _undo_to_first_stage(state, op)
     dest, phase = _stage(op.m, *first)
     # |amps|^2 and its gather through dest go to the two halves of the idle buffer
     sq, weights = np.split(idle.view(np.float64), 2)

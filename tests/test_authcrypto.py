@@ -38,6 +38,7 @@ from qsiglab.qsim import (
     state_digest,
     tensor,
 )
+from test_clifford import _reference_apply
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +365,18 @@ def test_one_pass_readout_matches_trap_by_trap_reference(kind, n, t):
 
 
 def _full_path_encode(payload, key: AuthKey, t: int):
-    """The encoding on the whole block: build payload (x) |0^t>, then scramble."""
-    block = tensor(payload, basis_state(2, t, [0] * t)) if t else payload
+    """The encoding on the whole block, for t >= 1: build payload (x) |0^t>,
+    then scramble it with apply_clifford, whose rows all go through the first
+    stage."""
+    block = tensor(payload, basis_state(2, t, [0] * t))
     return apply_clifford(block, _scrambler(key, payload.n + t))
 
 
 def _full_path_verify(state, key: AuthKey, t: int, rng):
-    """The readout on the whole block: the full inverse, then the column weights."""
+    """The readout on the whole block, for t >= 1: apply_clifford's full
+    inverse, then the column weights of every trap pattern."""
     n = state.n - t
     decoded = apply_clifford(state, _scrambler(key, state.n).inverse())
-    if t == 0:
-        return True, decoded
     cols = decoded.amps.reshape(2**n, 2**t)
     weights = (np.abs(cols) ** 2).sum(axis=0)
     col = 0
@@ -386,14 +388,19 @@ def _full_path_verify(state, key: AuthKey, t: int, rng):
 
 @pytest.mark.parametrize("t", range(7))
 def test_encode_matches_full_block_path(t):
-    # payloads of 1 to 10 qubits, up to the 16-qubit block of a t = 6 session
+    # payloads of 1 to 10 qubits, up to the 16-qubit block of a t = 6 session.
+    # With no traps the encoding is apply_clifford itself, so t = 0 is checked
+    # against the gate-by-gate reference instead
     for n in range(1, 11):
         payload = sample_random_pure(2, n, new_rng(100 * t + n))
         key = AuthKey(900 + 10 * t + n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             block = qauth_encode(payload, key, t)
-        assert state_digest(block) == state_digest(_full_path_encode(payload, key, t))
+        if t:
+            assert state_digest(block) == state_digest(_full_path_encode(payload, key, t))
+        else:
+            assert np.abs(block.amps - _reference_apply(payload, _scrambler(key, n).gates).amps).max() < 1e-12
 
 
 def _pauli_tampered(block, rng):
@@ -432,11 +439,14 @@ def test_verify_matches_full_block_path(kind, n, t):
 
 
 def test_trap_free_verify_matches_full_block_path():
+    # with no traps the readout is apply_clifford's inverse, so the check is
+    # against the gate-by-gate reference
     block = sample_random_pure(2, 5, new_rng(27))
     with pytest.warns(UserWarning):
         accept, recovered = qauth_verify(block, AuthKey(3), 0, new_rng(0))
     assert accept
-    assert state_digest(recovered) == state_digest(_full_path_verify(block, AuthKey(3), 0, None)[1])
+    reference = _reference_apply(block, _scrambler(AuthKey(3), 5).inverse().gates)
+    assert np.abs(recovered.amps - reference.amps).max() < 1e-12
 
 
 def test_auth_key_needs_a_seed():
