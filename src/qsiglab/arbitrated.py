@@ -315,16 +315,18 @@ class SessionParties:
 
 def setup(config: SessionConfig) -> SessionParties:
     """Deal key material: alice-arbiter and bob-arbiter links, nothing between
-    alice and bob. Each party gets its own counted RNG stream."""
+    alice and bob. Each party gets its own counted RNG stream. Alice's key is
+    folded once, and she and the arbiter hold the same immutable GateMatrix."""
 
     def party(name: str, roles: list[str]) -> Party:
         links = derive_keys(config.seed, roles)
         rng = CountingRNG(new_rng(derive_seed(config.seed, "party", name)))
         macs = {role: link.mac_key(config.b) for role, link in links.items()}
-        signer = signing_ops(config.n, links["alice"].sig_seed()) if "alice" in links else None
-        return Party(config, links, rng, macs, signer)
+        return Party(config, links, rng, macs)
 
-    return SessionParties(party("alice", ["alice"]), party("bob", ["bob"]), party("arbiter", ["alice", "bob"]))
+    alice, bob, arbiter = party("alice", ["alice"]), party("bob", ["bob"]), party("arbiter", ["alice", "bob"])
+    alice.signer = arbiter.signer = signing_ops(config.n, alice.links["alice"].sig_seed())
+    return SessionParties(alice, bob, arbiter)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_setup_shares_derived_material():
     parties = setup(cfg)
     assert parties.alice.macs["alice"].point == parties.arbiter.macs["alice"].point
     assert parties.bob.macs["bob"].point == parties.arbiter.macs["bob"].point
-    assert np.array_equal(parties.alice.signer.entries, parties.arbiter.signer.entries)
+    assert parties.alice.signer is parties.arbiter.signer  # folded once per session
 
 
 def test_signing_twice_consumes_the_pad():
