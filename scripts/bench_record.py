@@ -8,7 +8,9 @@ A record holds the checkout's git sha, the machine (nproc, Python and numpy
 versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
-faults of one trap encode and verify. The benchmark
+faults of one trap encode, one trap verify and one 16-qubit application. The
+trap kernels run first, so their fault figures do not depend on the
+application kernels before them. The benchmark
 and the kernels run as subprocesses on the checkout's own ``src/`` and
 ``qsigbench/``, so one copy of this script records any checkout. A full
 record takes about five minutes on a 2-core machine.
@@ -72,14 +74,8 @@ def kernel_timings(checkout: Path) -> dict:
     from qsiglab.qsim import new_rng, parity_measure, sample_random_pure
 
     out = {"numpy": np.__version__, "calibration_ms": statistics.median(calib.calibrate() for _ in range(21)) * 1e3}
-    # four sampled ops and their inverses, each timed on one random state
-    for m, reps in ((10, 20), (12, 10), (16, 5)):
-        st = sample_random_pure(2, m, new_rng(m))
-        ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
-        times = [_median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())]
-        out[f"apply_clifford_m{m}_ms"] = statistics.median(times)
     # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
-    for t in (4, 6):
+    for t in (6, 4):
         key = AuthKey(t)
         payload = sample_random_pure(2, 4 + t, new_rng(t))
         block = qauth_encode(payload, key, t)
@@ -89,6 +85,14 @@ def kernel_timings(checkout: Path) -> dict:
         out[f"qauth_verify_t{t}_ms"], out[f"qauth_verify_t{t}_minflt"] = _median_ms_minflt(
             lambda: qauth_verify(block, key, t, new_rng(0)), 20
         )
+    # four sampled ops and their inverses, each timed on one random state
+    for m, reps in ((10, 20), (12, 10), (16, 5)):
+        st = sample_random_pure(2, m, new_rng(m))
+        ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
+        figures = [_median_ms_minflt(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())]
+        out[f"apply_clifford_m{m}_ms"] = statistics.median(ms for ms, _ in figures)
+        if m == 16:
+            out["apply_clifford_m16_minflt"] = statistics.median(faults for _, faults in figures)
     # the size of truesig's omega-pair check at d = 7, k = 3
     st = sample_random_pure(7, 5, new_rng(7))
     out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)
