@@ -8,9 +8,9 @@ A record holds the checkout's git sha, the machine (nproc, Python and numpy
 versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
-faults of one trap encode, one trap verify and one 16-qubit application. The
-trap kernels run first, so their fault figures do not depend on the
-application kernels before them. The benchmark
+faults of one warm ``session_tamper_t6`` trial, one trap encode and one trap
+verify. The trials run first, right after calibration, and the trap kernels
+next, so no fault figure depends on the application kernels. The benchmark
 and the kernels run as subprocesses on the checkout's own ``src/`` and
 ``qsigbench/``, so one copy of this script records any checkout. A full
 record takes about five minutes on a 2-core machine.
@@ -21,6 +21,7 @@ JSON; the full record runs it in a single-threaded subprocess.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -69,11 +70,21 @@ def kernel_timings(checkout: Path) -> dict:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "qsigbench")]
     import calib
     import numpy as np
+    from qsiglab import attacks
     from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
     from qsiglab.clifford import apply_clifford, sample_clifford
     from qsiglab.qsim import new_rng, parity_measure, sample_random_pure
+    from workloads import WORKLOADS, op_seed
 
     out = {"numpy": np.__version__, "calibration_ms": statistics.median(calib.calibrate() for _ in range(21)) * 1e3}
+    # one run_scenario call per trial, as qsigbench/worker.py makes them, after its warm-up call
+    wl, index = WORKLOADS["session_tamper_t6"], itertools.count(-1)
+
+    def trial():
+        attacks.run_scenario(attacks.Scenario(wl.scenario, wl.params, wl.trials, op_seed(wl.name, 0, next(index))))
+
+    trial()
+    out["session_tamper_t6_minflt"] = _median_ms_minflt(trial, 60)[1]
     # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
     for t in (6, 4):
         key = AuthKey(t)
@@ -89,10 +100,9 @@ def kernel_timings(checkout: Path) -> dict:
     for m, reps in ((10, 20), (12, 10), (16, 5)):
         st = sample_random_pure(2, m, new_rng(m))
         ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
-        figures = [_median_ms_minflt(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())]
-        out[f"apply_clifford_m{m}_ms"] = statistics.median(ms for ms, _ in figures)
-        if m == 16:
-            out["apply_clifford_m16_minflt"] = statistics.median(faults for _, faults in figures)
+        out[f"apply_clifford_m{m}_ms"] = statistics.median(
+            _median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())
+        )
     # the size of truesig's omega-pair check at d = 7, k = 3
     st = sample_random_pure(7, 5, new_rng(7))
     out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)

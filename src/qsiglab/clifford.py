@@ -15,13 +15,14 @@ where its rows are long.
 
 Each application runs on two buffers of the state's size. Every stage and
 every rotation writes from the buffer that holds the data into the idle one,
-a butterfly keeps its difference half in the idle one, and the result is
-returned from whichever buffer holds it. What this saves is fresh memory:
-glibc's malloc hands the free top of its heap back to the OS once it exceeds
-the trim threshold (about 2 MiB after 1 MiB buffers have been freed), so at
-16 qubits each page a call touches beyond what it keeps is faulted in again
-by the next call. The cost follows the fresh bytes per call, not the count
-of allocations; no buffer outlives its call.
+and a butterfly keeps its difference half in the idle one. The two buffers
+and each stage's index and phase tables are this thread's workspace: views of
+the first 2^m entries of arrays kept from call to call, which grow to the
+largest m applied and are never shrunk, so a thread retains 48 B x 2^m (3 MiB
+at 16 qubits, 48 MiB at MAX_AMPS). No result aliases the workspace: the last
+step of each form writes into a fresh array. The pick of
+undo_clifford_column runs while the trap weights sit in the workspace, so it
+must not apply a Clifford.
 
 There are two application routines, both trap-aware. The first H-free
 stage is a permutation with a phase, so apply_clifford_padded applies an op
@@ -40,6 +41,7 @@ v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
 """
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -158,8 +160,26 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # is const + sum_j lin[j] x_j + 2 sum_{j,k} quad[j]_k x_j x_k (mod 4), with
 # quad held as row bitmasks; only its GF(2) value matters.
 
-_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact; half the bytes of a complex128 factor
+_I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact, and the size of an int64 phase
 _TOP = 4  # butterflies run on the top _TOP bits of the rotated layout
+_scratch = threading.local()
+
+
+def _workspace(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's two complex128 state buffers, int64 index table and
+    int64 phase table, as views of their first 2^m entries."""
+    arrays = getattr(_scratch, "arrays", None)
+    if arrays is None or arrays[0].size < 1 << m:
+        dtypes = (np.complex128, np.complex128, np.int64, np.int64)
+        arrays = _scratch.arrays = [np.empty(1 << m, dtype=dt) for dt in dtypes]
+    size = 1 << m
+    return arrays[0][:size], arrays[1][:size], arrays[2][:size], arrays[3][:size]
+
+
+def _factor(phase: np.ndarray) -> np.ndarray:
+    """i^phase, written over the phase table's own memory; wrap takes the
+    negated phases of a gather too."""
+    return _I_POW.take(phase, out=phase.view(np.complex64), mode="wrap")
 
 
 def _bits(mask: int):
@@ -180,14 +200,13 @@ def _transpose(rows: list[int], m: int) -> list[int]:
 def _index_phase(m: int, rows, b, const, lin, quad, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Destination index A x + b and Z4 phase of every flat index x whose low
     lo bits are 0, in order of x, where output bit p is the parity of
-    x & rows[p], xor b_p."""
+    x & rows[p], xor b_p. Both are the workspace tables."""
     # Double over the bits of x from bit lo up: entries [2^(j-lo), 2^(j-lo+1))
     # are entries [0, 2^(j-lo)) with bit j set. The low m bits of key hold
     # A x + b; bit m + k holds the parity of x against the cross terms pairing
     # bit k with lower bits.
     cols, quad_cols = _transpose(rows, m), _transpose(quad, m)
-    key = np.empty(1 << (m - lo), dtype=np.int64)
-    phase = np.empty_like(key)
+    key, phase = _workspace(m - lo)[2:]
     key[0], phase[0] = b, const
     for j in range(lo, m):
         h = 1 << (j - lo)
@@ -232,7 +251,7 @@ def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> N
     """out = |x> -> i^q(y) |P y + xs>, y = (I + L) x, of src, which it phases
     in place first."""
     dest, phase = _stage(m, borel, perm, xs, zs)
-    src *= _I_POW[phase]
+    src *= _factor(phase)
     out[dest] = src
 
 
@@ -242,9 +261,7 @@ def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> No
     dest, phase = _stage(m, borel, perm, xs, zs)
     # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
     np.take(src, dest, out=out, mode="clip")
-    del dest  # the factor below can take its memory
-    np.negative(phase, out=phase)
-    out *= _I_POW[phase]
+    out *= _factor(np.negative(phase, out=phase))
 
 
 def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
@@ -303,9 +320,10 @@ def apply_clifford(state: PureState, op: CliffordOp) -> PureState:
     first stage, then that stage's gather."""
     if not op.inverted:
         return apply_clifford_padded(state, op, 0)
-    amps, idle, first = _undo_to_first_stage(state, op.inverse())
-    _gather(amps, idle, op.m, *first)
-    return PureState(2, op.m, idle)
+    amps, _, first = _undo_to_first_stage(state, op.inverse())
+    out = np.empty_like(amps)
+    _gather(amps, out, op.m, *first)
+    return PureState(2, op.m, out)
 
 
 def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState:
@@ -319,25 +337,27 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
         raise ValueError("the padded application takes an op that is not inverted")
     _check_state(state, op.m - t)
     first, hs, last = _layers(op)
+    amps, idle = _workspace(op.m)[:2]
     dest, phase = _stage(op.m, *first, lo=t)
-    amps = np.zeros(1 << op.m, dtype=np.complex128)
-    amps[dest] = state.amps * _I_POW[phase]
-    del dest, phase  # the last stage's tables can take their memory
-    buf, idle = _hadamards(amps, np.empty_like(amps), op.m, hs, False)
-    _scatter(buf, idle, op.m, *last)
-    return PureState(2, op.m, idle)
+    payload = np.multiply(state.amps, _factor(phase), out=idle[: state.amps.size])
+    amps.fill(0)
+    amps[dest] = payload
+    buf, idle = _hadamards(amps, idle, op.m, hs, False)
+    out = np.empty_like(buf)
+    _scatter(buf, out, op.m, *last)
+    return PureState(2, op.m, out)
 
 
 def _undo_to_first_stage(state: PureState, op: CliffordOp):
     """The inverse of a forward op on state, all but its last step: the
     gather of op's last stage, then the H layer in reverse. Returns the
-    buffer that holds the result, the idle one, and op's first stage, whose
-    gather completes the inverse."""
+    workspace buffer that holds the result, the idle one, and op's first
+    stage, whose gather completes the inverse."""
     _check_state(state, op.m)
     first, hs, last = _layers(op)
-    amps = np.empty_like(state.amps)
+    amps, idle = _workspace(op.m)[:2]
     _gather(state.amps, amps, op.m, *last)
-    amps, idle = _hadamards(amps, np.empty_like(amps), op.m, hs[::-1], True)
+    amps, idle = _hadamards(amps, idle, op.m, hs[::-1], True)
     return amps, idle, first
 
 
@@ -361,7 +381,10 @@ def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tupl
     np.take(sq, dest, out=weights, mode="clip")
     cols = 1 << t
     col = pick(weights.reshape(-1, cols).sum(axis=0))
-    return col, amps[dest[col::cols]] * _I_POW[-phase[col::cols]]
+    rows = slice(col, None, cols)
+    kept = amps[dest[rows]]
+    kept *= _factor(np.negative(phase[rows]))
+    return col, kept
 
 
 # ---------------------------------------------------------------------------

@@ -389,8 +389,9 @@ def _full_path_verify(state, key: AuthKey, t: int, rng):
 @pytest.mark.parametrize("t", range(7))
 def test_encode_matches_full_block_path(t):
     # payloads of 1 to 10 qubits, up to the 16-qubit block of a t = 6 session.
-    # With no traps the encoding is apply_clifford itself, so t = 0 is checked
-    # against the gate-by-gate reference instead
+    # Both paths run apply_clifford_padded's first stage, so blocks of up to
+    # 10 qubits are also checked against the gate-by-gate reference, and with
+    # no traps the encoding is apply_clifford itself
     for n in range(1, 11):
         payload = sample_random_pure(2, n, new_rng(100 * t + n))
         key = AuthKey(900 + 10 * t + n)
@@ -399,8 +400,10 @@ def test_encode_matches_full_block_path(t):
             block = qauth_encode(payload, key, t)
         if t:
             assert state_digest(block) == state_digest(_full_path_encode(payload, key, t))
-        else:
-            assert np.abs(block.amps - _reference_apply(payload, _scrambler(key, n).gates).amps).max() < 1e-12
+        if n + t <= 10:
+            padded = tensor(payload, basis_state(2, t, [0] * t)) if t else payload
+            reference = _reference_apply(padded, _scrambler(key, n + t).gates)
+            assert np.abs(block.amps - reference.amps).max() < 1e-12
 
 
 def _pauli_tampered(block, rng):

@@ -4,7 +4,9 @@ import functools
 import hashlib
 import itertools
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 import math
+import sys
 import time
 
 import numpy as np
@@ -330,3 +332,50 @@ def test_application_bytes_pinned():
             col, kept = undo_clifford_column(st, op, t, pick)
             h.update(col.to_bytes(1, "little") + kept.tobytes())
     assert h.hexdigest() == _APPLICATION_BYTES_DIGEST, h.hexdigest()
+
+
+def _all_forms(m: int, seed: int) -> list[np.ndarray]:
+    """The results of every application form for one sampled m-qubit op."""
+    op = sample_clifford(m, new_rng(seed))
+    rng = new_rng(2000 + seed)
+    st, payload = sample_random_pure(2, m, rng), sample_random_pure(2, m - 2, rng)
+    return [
+        apply_clifford(st, op).amps,
+        apply_clifford(st, op.inverse()).amps,
+        apply_clifford_padded(payload, op, 2).amps,
+        undo_clifford_column(st, op, 2, lambda w: 1)[1],
+    ]
+
+
+def test_results_never_alias_the_workspace():
+    # application runs on scratch arrays kept from call to call; a result
+    # must keep its bytes through later calls at the same m and at a larger one
+    first = _all_forms(8, 0)
+    kept = [hashlib.sha256(a.tobytes()).hexdigest() for a in first]
+    later = _all_forms(8, 1) + _all_forms(10, 2)
+    assert [hashlib.sha256(a.tobytes()).hexdigest() for a in first] == kept
+    for a, b in itertools.combinations(first + later, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_threads_keep_their_own_workspace():
+    # 16-qubit trap encode and column read, two threads at once, against the
+    # same calls made one at a time
+    ops = [sample_clifford(16, new_rng(s)) for s in range(6)]
+    payloads = [sample_random_pure(2, 10, new_rng(100 + s)) for s in range(6)]
+
+    def digest(i):
+        block = apply_clifford_padded(payloads[i], ops[i], 6)
+        col, kept = undo_clifford_column(block, ops[i], 6, lambda w: int(np.argmax(w)))
+        return hashlib.sha256(block.amps.tobytes() + col.to_bytes(1, "little") + kept.tobytes()).hexdigest()
+
+    expected = [digest(i) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(10):
+                futures = [pool.submit(digest, i) for i in range(6)]
+                assert [f.result(timeout=30) for f in futures] == expected
+    finally:
+        sys.setswitchinterval(interval)

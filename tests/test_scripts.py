@@ -38,7 +38,7 @@ def test_script_runs(script, args):
             assert kernels[f"qauth_verify_t{t}_ms"] > 0
         assert "qauth_encode_t6_minflt" in kernels
         assert "qauth_verify_t6_minflt" in kernels
-        assert "apply_clifford_m16_minflt" in kernels
+        assert "session_tamper_t6_minflt" in kernels
 
 
 def test_bench_record_label_needs_out():
