@@ -56,15 +56,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # canonical-form data and sampling
 
 
-def is_symplectic(g: np.ndarray) -> bool:
-    nn = g.shape[0]
-    jmat = np.zeros((nn, nn), dtype=np.int64)
-    for i in range(nn // 2):
-        jmat[2 * i, 2 * i + 1] = 1
-        jmat[2 * i + 1, 2 * i] = 1
-    return np.array_equal(g @ jmat @ g.T % 2, jmat)
-
-
 @dataclass(frozen=True)
 class CliffordOp:
     """U = F1 H S F2 followed by X and Z, or U^dagger if inverted.
@@ -386,21 +377,3 @@ def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tupl
     kept *= _factor(np.negative(phase[rows]))
     return col, kept
 
-
-# ---------------------------------------------------------------------------
-# dense Pauli helper (tests, calibration)
-
-_P1 = {
-    (0, 0): np.eye(2, dtype=np.complex128),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=np.complex128),  # Y = i X Z
-    (0, 1): np.diag([1.0, -1.0]).astype(np.complex128),
-}
-
-
-def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
-    """Hermitian Pauli matrix for an (x|z) bit vector with a sign bit."""
-    out = np.array([[1.0 + 0j]])
-    for q in range(len(vec) // 2):
-        out = np.kron(out, _P1[(int(vec[2 * q]), int(vec[2 * q + 1]))])
-    return (-1) ** int(sign) * out

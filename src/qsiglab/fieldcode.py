@@ -222,13 +222,12 @@ def decode_bijection(fm: FunctionalMatrix, in_subset) -> DecodeBijection:
     out_rows = tuple(i for i in range(2 * k) if i not in subset and i != 0)
 
     a_inv = mod_inv_matrix(fm.rows[list(subset)], d)  # MDS makes this total
-    powers = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(*[np.arange(d)] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    labels = np.indices((d,) * k).reshape(k, -1)  # every label tuple, as columns
 
     # forward: labels read as y-values at subset rows -> (x_0, out-row coords)
-    x_all = grid @ a_inv.T % d
-    out_cols = np.concatenate([x_all[:, :1], x_all @ fm.rows[list(out_rows)].T % d], axis=1)
-    forward = (out_cols @ powers).astype(np.int64)
+    x_all = a_inv @ labels % d
+    out = np.concatenate([x_all[:1], fm.rows[list(out_rows)] @ x_all % d])
+    forward = np.ravel_multi_index(out, (d,) * k)
     inverse = np.empty_like(forward)
     inverse[forward] = np.arange(d**k)
     if len(np.unique(forward)) != d**k:

@@ -3,8 +3,10 @@
 Conventions, fixed once and relied on everywhere:
 
   * register 0 is the most significant digit of the flat amplitude index
-    (big-endian), so ``state.amps.reshape((d,) * n)`` puts register q on
-    axis q, and ``numpy.kron(a, b)`` makes ``a`` the leading registers;
+    (big-endian): numpy's C order, so ``state.amps.reshape((d,) * n)`` puts
+    register q on axis q, ``numpy.ravel_multi_index(labels, (d,) * n)``
+    gives the flat index of a label tuple, and ``numpy.kron(a, b)`` makes
+    ``a`` the leading registers;
   * measurement outcome 0 is always the accepting outcome;
   * norm and fidelity checks use absolute tolerance ``TOL`` = 1e-9;
   * every stochastic operation takes an explicit ``numpy.random.Generator``
@@ -67,7 +69,7 @@ class PureState:
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL:
+        if not abs(norm - 1.0) <= TOL:  # written so that a NaN norm fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -94,7 +96,7 @@ class GateMatrix:
             probes = probe_rng.standard_normal((dim, 8)) + 1j * probe_rng.standard_normal((dim, 8))
             probes /= np.linalg.norm(probes, axis=0)
             dev = np.abs(entries.conj().T @ (entries @ probes) - probes).max()
-        if dev > TOL:
+        if not dev <= TOL:  # written so that a NaN entry fails too
             raise ValueError(f"matrix not unitary: max deviation {dev:.3e}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -127,35 +129,10 @@ def make_state(d: int, n: int, amps: Sequence[complex] | np.ndarray) -> PureStat
     return PureState(d, n, vec / norm)
 
 
-def basis_state(d: int, n: int, digits: Sequence[int]) -> PureState:
-    """Computational basis state |digits[0], ..., digits[n-1]>."""
-    if len(digits) != n:
-        raise ValueError(f"expected {n} digits, got {len(digits)}")
-    amps = np.zeros(d**n, dtype=np.complex128)
-    amps[encode_labels(tuple(digits), d)] = 1.0
-    return PureState(d, n, amps)
-
-
 def sample_random_pure(d: int, n: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state: iid complex normal amplitudes, normalized."""
     re_im = rng.standard_normal((2, d**n))
     return make_state(d, n, re_im[0] + 1j * re_im[1])
-
-
-def encode_labels(digits: tuple[int, ...], d: int) -> int:
-    """Big-endian mixed-radix encoding of a digit tuple."""
-    idx = 0
-    for v in digits:
-        idx = idx * d + int(v)
-    return idx
-
-
-def decode_labels(idx: int, m: int, d: int) -> tuple[int, ...]:
-    out = [0] * m
-    for q in range(m - 1, -1, -1):
-        out[q] = idx % d
-        idx //= d
-    return tuple(out)
 
 
 def parity_labels(d: int, n: int, coeffs: Sequence[int], targets: Sequence[int]) -> np.ndarray:
@@ -182,13 +159,8 @@ def apply_gate(state: PureState, gate: GateMatrix, targets: Sequence[int]) -> Pu
         raise ValueError(f"gate dimension {gate.d} != state dimension {state.d}")
     if gate.m != len(targets):
         raise ValueError(f"gate arity {gate.m} != {len(targets)} targets")
-    d, n, m = state.d, state.n, gate.m
-    arr = state.amps.reshape((d,) * n)
-    moved = np.moveaxis(arr, targets, range(m))
-    flat = moved.reshape(d**m, -1)
-    out = (gate.entries @ flat).reshape((d,) * n)
-    out = np.moveaxis(out, range(m), targets)
-    return PureState(d, n, out.reshape(-1))
+    out = gate.entries @ _front(state, targets)
+    return PureState(state.d, state.n, _back(out, targets, state.d, state.n))
 
 
 def apply_classical_bijection(state: PureState, f, targets: Sequence[int]) -> PureState:
@@ -201,19 +173,27 @@ def apply_classical_bijection(state: PureState, f, targets: Sequence[int]) -> Pu
     """
     targets = list(targets)
     _check_targets(state, targets)
-    d, n, m = state.d, state.n, len(targets)
-    dm = d**m
     fwd = np.asarray(f.forward_table, dtype=np.int64)
     inv = np.asarray(f.inverse_table, dtype=np.int64)
-    order = np.arange(dm)
+    order = np.arange(state.d ** len(targets))
     if not (np.array_equal(fwd[inv], order) and np.array_equal(inv[fwd], order)):
         raise ValueError("supplied map is not a bijection (forward/inverse mismatch)")
-    arr = state.amps.reshape((d,) * n)
-    moved = np.moveaxis(arr, targets, range(m))
-    flat = moved.reshape(dm, -1)
-    out = flat[inv]  # new label w receives the amplitude of f^{-1}(w)
-    out = np.moveaxis(out.reshape((d,) * n), range(m), targets)
-    return PureState(d, n, out.reshape(-1))
+    out = _front(state, targets)[inv]  # new label w receives the amplitude of f^{-1}(w)
+    return PureState(state.d, state.n, _back(out, targets, state.d, state.n))
+
+
+def _front(state: PureState, regs: list[int]) -> np.ndarray:
+    """Amplitudes as a matrix: rows are the labels of ``regs`` in the given order,
+    columns those of the other registers ascending. Only _front/_back move registers."""
+    rest = [q for q in range(state.n) if q not in regs]
+    arr = state.amps.reshape((state.d,) * state.n)
+    return arr.transpose(regs + rest).reshape(state.d ** len(regs), -1)
+
+
+def _back(mat: np.ndarray, regs: list[int], d: int, n: int) -> np.ndarray:
+    """Flat amplitudes of a matrix laid out as _front(state, regs) lays it out."""
+    order = regs + [q for q in range(n) if q not in regs]
+    return mat.reshape((d,) * n).transpose([order.index(q) for q in range(n)]).reshape(-1)
 
 
 def _check_targets(state: PureState, targets: Sequence[int]) -> None:
@@ -240,8 +220,7 @@ def _exchange_swapped(state: PureState, regs_a: Sequence[int], regs_b: Sequence[
     order = list(range(state.n))
     for qa, qb in zip(regs_a, regs_b):
         order[qa], order[qb] = order[qb], order[qa]
-    arr = state.amps.reshape((state.d,) * state.n)
-    return np.transpose(arr, order).reshape(-1)
+    return _front(state, order).reshape(-1)
 
 
 def _check_blocks(state: PureState, regs_a: Sequence[int], regs_b: Sequence[int]) -> None:
@@ -292,20 +271,25 @@ def parity_measure(
     parity-s sector; the post-state is the renormalized projection onto that
     sector, so states fully inside one sector are returned unchanged.
     """
+    weights = sector_weights(state, coeffs, targets)
+    probs = weights / weights.sum()
+    outcome = int(rng.choice(state.d, p=probs))
+    p = float(probs[outcome])
+    if p >= 1.0 - _EXACT:
+        return MeasurementRecord(outcome, p, state)
+    parity = parity_labels(state.d, state.n, coeffs, targets)
+    vec = np.where(parity == outcome, state.amps, 0.0)
+    return MeasurementRecord(outcome, p, PureState(state.d, state.n, vec / np.linalg.norm(vec)))
+
+
+def sector_weights(state: PureState, coeffs: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """The state's weight in each sector s = sum(coeffs[i] * label(targets[i])) mod d."""
     targets = list(targets)
     _check_targets(state, targets)
     if len(coeffs) != len(targets):
         raise ValueError(f"{len(coeffs)} coefficients for {len(targets)} targets")
-    d, n = state.d, state.n
-    parity = parity_labels(d, n, coeffs, targets)
-    weights = np.bincount(parity, weights=np.abs(state.amps) ** 2, minlength=d)
-    probs = weights / weights.sum()
-    outcome = int(rng.choice(d, p=probs))
-    p = float(probs[outcome])
-    if p >= 1.0 - _EXACT:
-        return MeasurementRecord(outcome, p, state)
-    vec = np.where(parity == outcome, state.amps, 0.0)
-    return MeasurementRecord(outcome, p, PureState(d, n, vec / np.linalg.norm(vec)))
+    parity = parity_labels(state.d, state.n, coeffs, targets)
+    return np.bincount(parity, weights=np.abs(state.amps) ** 2, minlength=state.d)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +308,7 @@ def permute_registers(state: PureState, order: Sequence[int]) -> PureState:
     order = list(order)
     if sorted(order) != list(range(state.n)):
         raise ValueError(f"order must be a permutation of 0..{state.n - 1}, got {order}")
-    arr = state.amps.reshape((state.d,) * state.n)
-    return PureState(state.d, state.n, np.transpose(arr, order).reshape(-1))
+    return PureState(state.d, state.n, _front(state, order).reshape(-1))
 
 
 def reduced_density(state: PureState, regs: Sequence[int]) -> np.ndarray:
@@ -336,9 +319,7 @@ def reduced_density(state: PureState, regs: Sequence[int]) -> np.ndarray:
     """
     regs = list(regs)
     _check_targets(state, regs)
-    rest = [q for q in range(state.n) if q not in regs]
-    arr = state.amps.reshape((state.d,) * state.n)
-    mat = np.transpose(arr, regs + rest).reshape(state.d ** len(regs), -1)
+    mat = _front(state, regs)
     return mat @ mat.conj().T
 
 
@@ -352,9 +333,7 @@ def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, Pu
     """
     regs = list(regs)
     _check_targets(state, regs)
-    rest_regs = [q for q in range(state.n) if q not in regs]
-    arr = state.amps.reshape((state.d,) * state.n)
-    mat = np.transpose(arr, regs + rest_regs).reshape(state.d ** len(regs), -1)
+    mat = _front(state, regs)
     col = int(np.argmax(np.linalg.norm(mat, axis=0)))
     u = mat[:, col]
     u = u / np.linalg.norm(u)
@@ -367,26 +346,17 @@ def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, Pu
     return factor, rest
 
 
+def factor_fidelity(state: PureState, regs: Sequence[int], ref: PureState) -> float:
+    """Fidelity of the factor on ``regs`` with ``ref``; 0.0 if the cut is entangled."""
+    try:
+        factor, _ = extract_factor(state, regs)
+    except EntangledFactorError:
+        return 0.0
+    return fidelity(factor, ref)
+
+
 # ---------------------------------------------------------------------------
 # primitive gate constructors
-
-
-def identity_gate(d: int, m: int = 1) -> GateMatrix:
-    return GateMatrix(d, m, np.eye(d**m))
-
-
-def shift_gate(d: int, a: int = 1) -> GateMatrix:
-    """Generalized X^a: adds a to the computational label mod d."""
-    entries = np.zeros((d, d))
-    for j in range(d):
-        entries[(j + a) % d, j] = 1.0
-    return GateMatrix(d, 1, entries)
-
-
-def clock_gate(d: int, b: int = 1) -> GateMatrix:
-    """Generalized Z^b: phase omega^(b*label) per label."""
-    omega = np.exp(2j * np.pi / d)
-    return GateMatrix(d, 1, np.diag(omega ** (b * np.arange(d))))
 
 
 def fourier_gate(d: int) -> GateMatrix:

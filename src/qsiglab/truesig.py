@@ -34,18 +34,17 @@ from .fieldcode import (
 )
 from .qsim import (
     TOL,
-    EntangledFactorError,
     PureState,
     apply_classical_bijection,
     apply_gate,
     extract_factor,
-    fidelity,
+    factor_fidelity,
     fourier_gate,
     make_state,
     new_rng,
-    parity_labels,
     parity_measure,
     reduced_density,
+    sector_weights,
     symmetric_subspace_measure,
     tensor,
 )
@@ -121,12 +120,11 @@ def sign(keys: TrueSigKeys, psi_amplitudes, psi_copy: PureState) -> SignedBundle
     psi = make_state(d, 1, np.asarray(psi_amplitudes, dtype=np.complex128))
     if psi_copy.d != d or psi_copy.n != 1:
         raise ValueError(f"copy must be one register of dimension {d}")
-    grid = np.stack(np.meshgrid(*[np.arange(d)] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    y_all = grid @ fm.rows[1:].T % d  # coordinates y_1..y_{2k-1} for every x
-    powers = d ** np.arange(2 * k - 2, -1, -1, dtype=np.int64)
-    flat = y_all @ powers
+    x_all = np.indices((d,) * k).reshape(k, -1)  # every message vector x, as columns
+    y_all = fm.rows[1:] @ x_all % d  # coordinates y_1..y_{2k-1} for every x
+    flat = np.ravel_multi_index(y_all, (d,) * (2 * k - 1))
     amps = np.zeros(d ** (2 * k - 1), dtype=np.complex128)
-    amps[flat] = psi.amps[grid[:, 0]] * d ** (-(k - 1) / 2)  # injective placement
+    amps[flat] = psi.amps[x_all[0]] * d ** (-(k - 1) / 2)  # injective placement
     return SignedBundle(d, k, PureState(d, 2 * k - 1, amps), canonical_omega(d), psi_copy)
 
 
@@ -210,15 +208,14 @@ def verify(
             cur = rec.post_state
             syndrome.append(rec.outcome)
         else:
-            parity = parity_labels(d, 2 * k - 1, c, regs)
-            weights = np.bincount(parity, weights=np.abs(cur.amps) ** 2, minlength=d)
+            weights = sector_weights(cur, c, regs)
             dominant = int(np.argmax(weights))
             syndrome.append(0 if dominant == 0 and weights[0] >= 1.0 - TOL else (dominant or 1))
         if syndrome[-1] != 0:
             return fail(syndrome)
 
     # step 2: decode relabeling (a bijection; carries no pass/fail of its own)
-    cur = apply_classical_bijection(cur, vk.decode, list(range(k)))
+    cur = decode(vk, cur)
 
     # step 3: every residual pair must be the reference pair
     omega = canonical_omega(d)
@@ -238,27 +235,15 @@ def verify(
             cur = apply_gate(apply_gate(cur, ff_dg, [a]), ff_dg, [b])
     else:
         for a, b in _omega_pairs(k):
-            try:
-                pair_state, _ = extract_factor(cur, [a, b])
-                ok = fidelity(pair_state, omega) >= 1.0 - TOL
-            except EntangledFactorError:
-                ok = False
-            if not ok:
+            if not factor_fidelity(cur, [a, b], omega) >= 1.0 - TOL:
                 return fail(syndrome, s2=True)
 
     # step 4: decoded message vs plaintext copy, first pair vs shipped pair
     if mode == "referee":
-        try:
-            f0, _ = extract_factor(cur, [0])
-            ok4 = fidelity(f0, bundle.p_copy) >= 1.0 - TOL
-        except EntangledFactorError:
-            ok4 = False
-        if ok4:
-            try:
-                fp, _ = extract_factor(cur, [1, k])
-                ok4 = fidelity(fp, bundle.omega_pair) >= 1.0 - TOL
-            except EntangledFactorError:
-                ok4 = False
+        ok4 = (
+            factor_fidelity(cur, [0], bundle.p_copy) >= 1.0 - TOL
+            and factor_fidelity(cur, [1, k], bundle.omega_pair) >= 1.0 - TOL
+        )
     else:
         merged = tensor(cur, bundle.p_copy)
         rec = symmetric_subspace_measure(merged, [0], [2 * k - 1], rng)

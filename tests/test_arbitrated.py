@@ -33,9 +33,7 @@ from qsiglab.attacks import Scenario, run_scenario
 from qsiglab.authcrypto import MacTag, PadReuseError, wc_tag
 from qsiglab.qsim import (
     apply_gate,
-    basis_state,
     controlled_add_gate,
-    decode_labels,
     fidelity,
     hadamard_gate,
     new_rng,
@@ -44,6 +42,7 @@ from qsiglab.qsim import (
     sample_random_pure,
 )
 
+from _helpers import basis_state
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -105,7 +104,7 @@ def _reference_signing_unitary(n: int, sig_seed: int) -> np.ndarray:
         layers.append((pauli_layer, h_layer, cadd_layer)[int(rng.integers(0, 3))]())
     u = np.zeros((2**n, 2**n), dtype=np.complex128)
     for j in range(2**n):
-        st = basis_state(2, n, decode_labels(j, n, 2))
+        st = basis_state(2, n, np.unravel_index(j, (2,) * n))
         for gate, targets in (g for layer in layers for g in layer):
             st = apply_gate(st, gate, targets)
         u[:, j] = st.amps

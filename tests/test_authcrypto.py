@@ -22,11 +22,10 @@ from qsiglab.authcrypto import (
     wc_tag,
 )
 from qsiglab.arbitrated import CountingRNG
-from qsiglab.clifford import apply_clifford, pauli_from_bits, sample_clifford
+from qsiglab.clifford import apply_clifford, sample_clifford
 from qsiglab.qsim import (
     GateMatrix,
     apply_gate,
-    basis_state,
     fidelity,
     hadamard_gate,
     make_state,
@@ -38,6 +37,7 @@ from qsiglab.qsim import (
     state_digest,
     tensor,
 )
+from _helpers import basis_state, pauli_from_bits
 from test_clifford import _reference_apply
 
 

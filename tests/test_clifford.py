@@ -16,12 +16,12 @@ from qsiglab.clifford import (
     CliffordOp,
     apply_clifford,
     apply_clifford_padded,
-    is_symplectic,
-    pauli_from_bits,
     sample_clifford,
     undo_clifford_column,
 )
-from qsiglab.qsim import GateMatrix, apply_gate, basis_state, fidelity, new_rng, sample_random_pure
+from qsiglab.qsim import GateMatrix, apply_gate, fidelity, new_rng, sample_random_pure
+
+from _helpers import basis_state, is_symplectic, pauli_from_bits
 
 # Explicit gate matrices, applied one by one with qsim.apply_gate: the
 # reference shares no code with clifford's application.

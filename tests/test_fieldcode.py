@@ -18,7 +18,6 @@ from qsiglab.fieldcode import (
     mod_rref,
     parity_constraints,
 )
-from qsiglab.qsim import decode_labels, encode_labels
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,8 @@ def test_check_mds_generated_grids(d, k):
 
 def _image(table, labels, d):
     """Label tuple that an index table sends the given label tuple to."""
-    return decode_labels(int(table[encode_labels(labels, d)]), len(labels), d)
+    shape = (d,) * len(labels)
+    return tuple(int(v) for v in np.unravel_index(table[np.ravel_multi_index(labels, shape)], shape))
 
 
 def test_decode_bijection_worked_example():

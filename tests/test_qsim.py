@@ -1,4 +1,6 @@
 """Simulator core: states, gates, measurements, factor extraction."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,13 @@ from qsiglab.qsim import (
     PureState,
     apply_classical_bijection,
     apply_gate,
-    basis_state,
-    clock_gate,
     controlled_add_gate,
-    decode_labels,
     derive_seed,
-    encode_labels,
     extract_factor,
+    factor_fidelity,
     fidelity,
     fourier_gate,
     hadamard_gate,
-    identity_gate,
     make_state,
     new_rng,
     parity_labels,
@@ -32,11 +30,12 @@ from qsiglab.qsim import (
     phase_eighth_gate,
     reduced_density,
     sample_random_pure,
-    shift_gate,
     state_digest,
     symmetric_subspace_measure,
     tensor,
 )
+
+from _helpers import basis_state, clock_gate, identity_gate, shift_gate
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +62,19 @@ def test_pure_state_rejects_unnormalized():
         PureState(2, 1, np.array([1.0, 1.0], dtype=np.complex128))
 
 
+def test_nan_fails_state_and_gate_validation():
+    with pytest.raises(ValueError):
+        PureState(2, 1, np.array([np.nan, 0.0], dtype=np.complex128))
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        make_state(2, 1, [np.nan, 1.0])
+    with pytest.raises(ValueError):
+        GateMatrix(2, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    big = np.eye(2**7, dtype=np.complex128)  # above 64 rows: the probed check
+    big[5, 5] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError):
+        GateMatrix(2, 7, big)
+
+
 def test_pure_state_amps_read_only():
     st_ = basis_state(2, 1, [0])
     with pytest.raises(ValueError):
@@ -83,8 +95,14 @@ def test_big_endian_register_order():
 
 @given(st.integers(2, 7), st.integers(1, 4), st.data())
 def test_label_codec_round_trip(d, m, data):
+    # the flat index is numpy's C order: tensoring one-register basis states
+    # puts a label tuple at its ravel_multi_index
     idx = data.draw(st.integers(0, d**m - 1))
-    assert encode_labels(decode_labels(idx, m, d), d) == idx
+    digits = np.unravel_index(idx, (d,) * m)
+    joint = basis_state(d, 1, [digits[0]])
+    for v in digits[1:]:
+        joint = tensor(joint, basis_state(d, 1, [v]))
+    assert int(np.argmax(np.abs(joint.amps))) == idx
 
 
 def test_derive_seed_deterministic_and_sensitive():
@@ -170,7 +188,8 @@ def test_two_register_gate_order_convention():
 
 def _tables(d, m, f):
     """Forward/inverse index tables of a map f on m-digit label tuples."""
-    fwd = np.array([encode_labels(f(decode_labels(i, m, d)), d) for i in range(d**m)])
+    shape = (d,) * m
+    fwd = np.array([np.ravel_multi_index(f(np.unravel_index(i, shape)), shape) for i in range(d**m)])
     inv = np.empty_like(fwd)
     inv[fwd] = np.arange(d**m)
     return TableBijection(d, m, fwd, inv)
@@ -245,7 +264,7 @@ def test_parity_labels_match_digit_sums(d, n, data):
     coeffs = data.draw(st.lists(st.integers(-2 * d, 2 * d), min_size=n, max_size=n))
     labels = parity_labels(d, n, coeffs, targets)
     for idx in range(d**n):
-        digits = decode_labels(idx, n, d)
+        digits = np.unravel_index(idx, (d,) * n)
         assert labels[idx] == sum(c * digits[q] for c, q in zip(coeffs, targets)) % d
 
 
@@ -352,6 +371,83 @@ def test_extract_factor_phase_bookkeeping():
     factor0, rest0 = extract_factor(joint, [0])
     assert np.abs(factor0.amps - psi.amps).max() < 1e-12
     assert np.abs(rest0.amps - omega.amps).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# register layout on unsorted, non-contiguous targets, against index loops
+
+
+def _flat(labels, d):
+    """Big-endian flat index of a label tuple, by Horner's rule."""
+    idx = 0
+    for v in labels:
+        idx = idx * d + int(v)
+    return idx
+
+
+def _digits(idx, m, d):
+    out = []
+    for _ in range(m):
+        out.append(idx % d)
+        idx //= d
+    return out[::-1]
+
+
+def _with(labels, targets, values):
+    out = list(labels)
+    for q, v in zip(targets, values):
+        out[q] = v
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("targets", [[3, 1], [2, 0, 3]])
+def test_layout_matches_index_loops(d, targets):
+    n, m = 4, len(targets)
+    rest = [q for q in range(n) if q not in targets]
+    rng = new_rng(7 * d + m)
+    state = sample_random_pure(d, n, rng)
+    every = list(itertools.product(range(d), repeat=n))
+
+    q_mat, _ = np.linalg.qr(rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m)))
+    expect = np.zeros(d**n, dtype=np.complex128)
+    for x in every:
+        col = _flat([x[q] for q in targets], d)
+        for row in range(d**m):
+            y = _with(x, targets, _digits(row, m, d))
+            expect[_flat(y, d)] += q_mat[row, col] * state.amps[_flat(x, d)]
+    out = apply_gate(state, GateMatrix(d, m, q_mat), targets)
+    assert np.abs(out.amps - expect).max() < 1e-12
+
+    fwd = rng.permutation(d**m)
+    inv = np.empty_like(fwd)
+    inv[fwd] = np.arange(d**m)
+    expect = np.zeros(d**n, dtype=np.complex128)
+    for x in every:
+        image = _digits(int(fwd[_flat([x[q] for q in targets], d)]), m, d)
+        expect[_flat(_with(x, targets, image), d)] = state.amps[_flat(x, d)]
+    out = apply_classical_bijection(state, TableBijection(d, m, fwd, inv), targets)
+    assert np.array_equal(out.amps, expect)
+
+    u = sample_random_pure(d, m, rng).amps
+    v = sample_random_pure(d, n - m, rng).amps
+    amps = np.zeros(d**n, dtype=np.complex128)
+    for x in every:
+        amps[_flat(x, d)] = u[_flat([x[q] for q in targets], d)] * v[_flat([x[q] for q in rest], d)]
+    product = PureState(d, n, amps)
+    factor, other = extract_factor(product, targets)
+    for x in every:
+        rebuilt = factor.amps[_flat([x[q] for q in targets], d)] * other.amps[_flat([x[q] for q in rest], d)]
+        assert abs(rebuilt - amps[_flat(x, d)]) < 1e-12
+    ref = PureState(d, m, u)
+    assert factor_fidelity(product, targets, ref) == fidelity(factor, ref)
+    assert factor_fidelity(product, targets, ref) > 1 - 1e-12
+
+
+def test_factor_fidelity_is_zero_on_an_entangled_cut():
+    bell = make_state(2, 2, [1, 0, 0, 1])
+    assert factor_fidelity(bell, [0], make_state(2, 1, [1, 0])) == 0.0
+    assert factor_fidelity(tensor(bell, basis_state(2, 1, [1])), [2, 1], basis_state(2, 2, [1, 0])) == 0.0
 
 
 # ---------------------------------------------------------------------------

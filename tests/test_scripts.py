@@ -1,4 +1,6 @@
-"""Smoke runs of the calibration, table and bench-record scripts at tiny sizes."""
+"""Smoke runs of the calibration, table and bench-record scripts at tiny sizes,
+and the benchmark tracer's bindings."""
+import importlib
 import json
 import os
 import subprocess
@@ -51,3 +53,28 @@ def test_bench_record_label_needs_out():
     )
     assert proc.returncode == 2
     assert "--out is required" in proc.stderr
+
+
+def test_tracer_names_resolve(monkeypatch):
+    # a traced name deleted from qsiglab would otherwise break only a traced bench run
+    monkeypatch.syspath_prepend(str(ROOT / "qsigbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    homes = {m: importlib.import_module(f"qsiglab.{m}") for m in tracer.TRACED}
+    for m, funcs in tracer.TRACED.items():
+        for f in funcs:
+            assert callable(getattr(homes[m], f, None)), f"{m}.{f}"
+    modules = [importlib.import_module("qsiglab")] + [importlib.import_module(f"qsiglab.{m}") for m in tracer.PACKAGE_MODULES]
+    before = [dict(vars(mod)) for mod in modules]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for m, funcs in tracer.TRACED.items():
+            for f in funcs:
+                assert getattr(homes[m], f) is not before[modules.index(homes[m])][f], f"{m}.{f} not wrapped"
+    finally:
+        tr.uninstall()
+    for mod, names in zip(modules, before):
+        assert vars(mod).keys() == names.keys()
+        for attr, value in names.items():
+            assert vars(mod)[attr] is value, f"{mod.__name__}.{attr} not restored"

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qsiglab.qsim import basis_state, extract_factor, fidelity, make_state, new_rng, sample_random_pure
+from qsiglab.qsim import apply_gate, extract_factor, fidelity, make_state, new_rng, sample_random_pure
 from qsiglab.truesig import (
     FourStepVerdict,
     SignedBundle,
@@ -19,6 +19,8 @@ from qsiglab.truesig import (
     sign,
     verify,
 )
+
+from _helpers import basis_state, clock_gate, shift_gate
 
 CONFIGS = [(5, 2), (7, 2), (7, 3)]
 
@@ -183,8 +185,6 @@ def test_random_substitution_fails_step1():
 def test_phase_tamper_passes_step1_fails_step3():
     # a clock gate on a pair register commutes with the parity syndrome but
     # breaks the reference pair in both inspection regimes
-    from qsiglab.qsim import apply_gate, clock_gate
-
     keys, bundle, _ = _bundle(5, 2, 41)
     tampered = dataclasses.replace(
         bundle, s_state=apply_gate(bundle.s_state, clock_gate(5), [2])
@@ -221,8 +221,6 @@ def test_copy_mismatch_protocol_accepts_at_overlap_rate():
 
 
 def test_omega_reference_mismatch_fails_step4():
-    from qsiglab.qsim import apply_gate, shift_gate
-
     keys, bundle, _ = _bundle(5, 2, 53)
     shifted = apply_gate(bundle.omega_pair, shift_gate(5), [0])
     swapped = dataclasses.replace(bundle, omega_pair=shifted)
