@@ -124,8 +124,8 @@ def make_state(d: int, n: int, amps: Sequence[complex] | np.ndarray) -> PureStat
     if vec.shape != (d**n,):
         raise ValueError(f"expected {d**n} amplitudes for d={d}, n={n}, got {vec.shape[0]}")
     norm = np.linalg.norm(vec)
-    if norm <= 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    if not 0.0 < norm < np.inf:  # written so that a NaN norm fails too
+        raise ValueError(f"cannot normalize amps: their norm is {norm}")
     return PureState(d, n, vec / norm)
 
 
@@ -323,6 +323,16 @@ def reduced_density(state: PureState, regs: Sequence[int]) -> np.ndarray:
     return mat @ mat.conj().T
 
 
+def partial_inner(state: PureState, regs: Sequence[int], ref: PureState) -> np.ndarray:
+    """(<ref| on ``regs``) (x) I applied to the state: the unnormalized
+    amplitudes of the other registers, in ascending order."""
+    regs = list(regs)
+    _check_targets(state, regs)
+    if (ref.d, ref.n) != (state.d, len(regs)):
+        raise ValueError(f"reference of shape ({ref.d},{ref.n}) for {len(regs)} registers of dimension {state.d}")
+    return ref.amps.conj() @ _front(state, regs)
+
+
 def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, PureState]:
     """Split off the given registers as an unentangled pure factor.
 
@@ -338,7 +348,9 @@ def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, Pu
     u = mat[:, col]
     u = u / np.linalg.norm(u)
     v = u.conj() @ mat
-    residual = float(np.abs(mat - np.outer(u, v)).max())
+    diff = np.outer(u, v)
+    np.subtract(mat, diff, out=diff)
+    residual = float(np.abs(diff).max())
     if residual > TOL:
         raise EntangledFactorError(f"registers {regs} are entangled with the rest (residual {residual:.3e})")
     factor = PureState(state.d, len(regs), u)

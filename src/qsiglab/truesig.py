@@ -33,6 +33,7 @@ from .fieldcode import (
     parity_constraints,
 )
 from .qsim import (
+    _EXACT,
     TOL,
     PureState,
     apply_classical_bijection,
@@ -43,9 +44,8 @@ from .qsim import (
     make_state,
     new_rng,
     parity_measure,
-    reduced_density,
+    partial_inner,
     sector_weights,
-    symmetric_subspace_measure,
     tensor,
 )
 
@@ -169,6 +169,26 @@ def _omega_pairs(k: int) -> list[tuple[int, int]]:
     return [(i, k - 1 + i) for i in range(1, k)]
 
 
+def _equality_probabilities(cur: PureState, k: int, bundle: SignedBundle) -> tuple[float, float]:
+    """Born probabilities of protocol-mode step 4 on cur (x) copy, read off
+    cur's cuts so that the joint state is never built.
+
+    The swap test of register 0 against the copy accepts with (1 + <S>)/2,
+    <S> = |<copy|_0 cur|^2. After it accepts, the exchange test of registers
+    (1, k) against the shipped pair accepts with (1 + f)/2, where f is the
+    pair's weight <Omega|rho|Omega> in the symmetrized post-state: with
+    B = <Omega|_{1,k} cur, f = (|B|^2 + |<copy|_0 B|^2) / (1 + <S>). A state
+    the swap test finds already symmetric is left as it is, and f = |B|^2.
+    """
+    overlap = float(np.linalg.norm(partial_inner(cur, [0], bundle.p_copy)) ** 2)
+    p_swap = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
+    b = partial_inner(cur, [1, k], bundle.omega_pair).reshape(cur.d, -1)
+    f = float(np.linalg.norm(b) ** 2)
+    if p_swap < 1.0 - _EXACT:
+        f = (f + float(np.linalg.norm(bundle.p_copy.amps.conj() @ b) ** 2)) / (1.0 + overlap)
+    return p_swap, min(max((1.0 + f) / 2.0, 0.0), 1.0)
+
+
 def verify(
     keys: TrueSigKeys | VerifyingKey,
     bundle: SignedBundle,
@@ -178,8 +198,11 @@ def verify(
     """Four-step verification in either of two inspection regimes.
 
     "protocol" runs the physically implementable sequence: syndrome
-    measurements, decode, pairwise parity tests in both bases, and equality
-    tests sampled at their exact Born probabilities (rng required).
+    measurements, decode, pairwise parity tests in both bases, and the
+    equality tests (the swap test of the message against the copy, then the
+    exchange test of the first pair against the shipped one), sampled at
+    their exact Born probabilities on message (x) copy, which are computed
+    from the message cut (rng required; one draw per test).
     "referee" is the noiseless classical referee: deterministic sector
     weights, unentangled-factor extraction and fidelity thresholds at
     1 - 1e-9, no randomness. Both short-circuit at the first failed step.
@@ -245,18 +268,8 @@ def verify(
             and factor_fidelity(cur, [1, k], bundle.omega_pair) >= 1.0 - TOL
         )
     else:
-        merged = tensor(cur, bundle.p_copy)
-        rec = symmetric_subspace_measure(merged, [0], [2 * k - 1], rng)
-        if rec.outcome != 0:
-            ok4 = False
-        else:
-            # exchange test against the shipped pair, sampled at its exact
-            # Born probability from the reduced state (the post-state of the
-            # last step is never used, so it is not materialized)
-            rho = reduced_density(rec.post_state, [1, k])
-            ref = np.outer(bundle.omega_pair.amps, bundle.omega_pair.amps.conj())
-            p = (1.0 + float(np.trace(rho @ ref).real)) / 2.0
-            ok4 = bool(rng.random() < min(max(p, 0.0), 1.0))
+        p_swap, p_pair = _equality_probabilities(cur, k, bundle)
+        ok4 = bool(rng.random() < p_swap and rng.random() < p_pair)
     return FourStepVerdict(tuple(syndrome), True, True, ok4, ok4, mode)
 
 

@@ -1,5 +1,6 @@
 """Simulator core: states, gates, measurements, factor extraction."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qsiglab.qsim import (
     new_rng,
     parity_labels,
     parity_measure,
+    partial_inner,
     pauli_gate,
     permute_registers,
     phase_eighth_gate,
@@ -65,7 +67,8 @@ def test_pure_state_rejects_unnormalized():
 def test_nan_fails_state_and_gate_validation():
     with pytest.raises(ValueError):
         PureState(2, 1, np.array([np.nan, 0.0], dtype=np.complex128))
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match="amps"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any division by the norm
         make_state(2, 1, [np.nan, 1.0])
     with pytest.raises(ValueError):
         GateMatrix(2, 1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -352,6 +355,41 @@ def test_extract_factor_rejects_entangled_cut():
     bell = make_state(2, 2, [1, 0, 0, 1])
     with pytest.raises(EntangledFactorError):
         extract_factor(bell, [0])
+
+
+@pytest.mark.parametrize("eps,entangled", [(1.01e-9, True), (0.99e-9, False)])
+def test_extract_factor_residual_threshold(eps, entangled):
+    # one unit amplitude at labels (0, 1, 2) and eps at (1, 2, 0): across the
+    # cut [2, 0] | [1] the residual of the best product is exactly eps
+    amps = np.zeros(27, dtype=np.complex128)
+    amps[np.ravel_multi_index((0, 1, 2), (3, 3, 3))] = 1.0
+    amps[np.ravel_multi_index((1, 2, 0), (3, 3, 3))] = eps
+    state = PureState(3, 3, amps)
+    if entangled:
+        with pytest.raises(EntangledFactorError, match="1.010e-09"):
+            extract_factor(state, [2, 0])
+    else:
+        factor, rest = extract_factor(state, [2, 0])
+        assert factor.amps[2 * 3 + 0] == 1.0 and rest.amps[1] == 1.0
+
+
+def test_partial_inner_contracts_the_given_registers():
+    rng = new_rng(33)
+    state = sample_random_pure(3, 4, rng)
+    ref = sample_random_pure(3, 2, rng)
+    got = partial_inner(state, [3, 1], ref)
+    arr = state.amps.reshape(3, 3, 3, 3)
+    want = np.einsum("db,abcd->ac", ref.amps.conj().reshape(3, 3), arr).reshape(-1)
+    assert np.allclose(got, want, atol=1e-14)
+    # its squared norm is the reference's weight in the reduced state
+    rho = reduced_density(state, [3, 1])
+    assert np.vdot(got, got).real == pytest.approx(np.vdot(ref.amps, rho @ ref.amps).real, abs=1e-14)
+    with pytest.raises(ValueError):
+        partial_inner(state, [0], ref)  # one register against a two-register reference
+    with pytest.raises(ValueError):
+        partial_inner(state, [0, 1], sample_random_pure(2, 2, rng))
+    with pytest.raises(ValueError):
+        partial_inner(state, [1, 1], ref)
 
 
 def test_extract_factor_phase_bookkeeping():

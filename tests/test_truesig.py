@@ -1,11 +1,23 @@
 """Signature scheme tests: encoding oracle, verification, and the forgery path."""
+import copy
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from qsiglab.qsim import apply_gate, extract_factor, fidelity, make_state, new_rng, sample_random_pure
+from qsiglab import truesig
+from qsiglab.qsim import (
+    apply_gate,
+    extract_factor,
+    fidelity,
+    make_state,
+    new_rng,
+    reduced_density,
+    sample_random_pure,
+    symmetric_subspace_measure,
+    tensor,
+)
 from qsiglab.truesig import (
     FourStepVerdict,
     SignedBundle,
@@ -218,6 +230,87 @@ def test_copy_mismatch_protocol_accepts_at_overlap_rate():
     rng = new_rng(48)
     accepts = sum(verify(keys, swapped, "protocol", rng=rng).overall for _ in range(60))
     assert 15 <= accepts <= 45  # F = 0, so expect about half
+
+
+# ---------------------------------------------------------------------------
+# protocol-mode step 4 against the joint state cur (x) copy
+
+
+class _AcceptEveryDraw:
+    """Stands in for an rng so that every sampled test takes outcome 0."""
+
+    def random(self) -> float:
+        return 0.0
+
+
+def _joint_step4(cur, k, bundle, rng):
+    """Step 4 composed from qsim's generic measurements on cur (x) copy: the
+    swap test, then the shipped pair's weight in the reduced state of the
+    post-state. Returns the verdict and the two accept probabilities (the
+    second is None when the swap test rejects)."""
+    rec = symmetric_subspace_measure(tensor(cur, bundle.p_copy), [0], [2 * k - 1], rng)
+    if rec.outcome != 0:
+        return False, 1.0 - rec.probability, None
+    rho = reduced_density(rec.post_state, [1, k])
+    ref = np.outer(bundle.omega_pair.amps, bundle.omega_pair.amps.conj())
+    p_pair = min(max((1.0 + float(np.trace(rho @ ref).real)) / 2.0, 0.0), 1.0)
+    return bool(rng.random() < p_pair), rec.probability, p_pair
+
+
+def _step4_bundles(d, k):
+    """Honest, forged, randomly substituted, and honest with another copy
+    (whose swap test is not certain, so the general form applies)."""
+    keys, honest, _ = _bundle(d, k, 800 + d + k)
+    other = _random_message(d, 810 + d + k)
+    rng = new_rng(820 + d + k)
+    return keys, {
+        "honest": honest,
+        "forged": forge(keys.verifying, honest, other, make_state(d, 1, other)),
+        "substituted": dataclasses.replace(honest, s_state=sample_random_pure(d, 2 * k - 1, rng)),
+        "other copy": dataclasses.replace(honest, p_copy=make_state(d, 1, other)),
+    }
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
+def test_step4_probabilities_match_joint_state(d, k):
+    keys, bundles = _step4_bundles(d, k)
+    for name, bundle in bundles.items():
+        cur = decode(keys, bundle.s_state)  # any state can meet step 4 here
+        _, p_swap, p_pair = _joint_step4(cur, k, bundle, _AcceptEveryDraw())
+        got = truesig._equality_probabilities(cur, k, bundle)
+        assert abs(got[0] - p_swap) <= 1e-12, name
+        assert abs(got[1] - p_pair) <= 1e-12, name
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
+def test_step4_verdicts_and_draws_match_joint_state(d, k, monkeypatch):
+    keys, bundles = _step4_bundles(d, k)
+    closed_form = truesig._equality_probabilities
+    entry = {}
+
+    def recording(cur, k_, bundle):
+        entry.update(cur=cur, state=copy.deepcopy(rng.bit_generator.state))
+        return closed_form(cur, k_, bundle)
+
+    monkeypatch.setattr(truesig, "_equality_probabilities", recording)
+    outcomes = set()
+    for name, bundle in bundles.items():
+        for seed in range(6):
+            entry.clear()
+            rng = new_rng(seed)
+            verdict = verify(keys, bundle, "protocol", rng=rng)
+            if not entry:  # stopped before step 4
+                assert failed_step(verdict) in ("step1", "step3"), name
+                continue
+            replay = new_rng()
+            replay.bit_generator.state = entry["state"]
+            ok4, _, p_pair = _joint_step4(entry["cur"], k, bundle, replay)
+            assert verdict.step4_equality == verdict.overall == ok4, (name, seed)
+            assert replay.bit_generator.state == rng.bit_generator.state, (name, seed)
+            outcomes.add((name, p_pair is not None, ok4))
+    assert ("honest", True, True) in outcomes and ("forged", True, True) in outcomes
+    assert ("other copy", False, False) in outcomes  # the swap test rejected
+    assert ("other copy", True, True) in outcomes or ("other copy", True, False) in outcomes
 
 
 def test_omega_reference_mismatch_fails_step4():
