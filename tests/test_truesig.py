@@ -1,5 +1,4 @@
 """Signature scheme tests: encoding oracle, verification, and the forgery path."""
-import copy
 import dataclasses
 import itertools
 
@@ -289,7 +288,7 @@ def test_step4_verdicts_and_draws_match_joint_state(d, k, monkeypatch):
     entry = {}
 
     def recording(cur, k_, bundle):
-        entry.update(cur=cur, state=copy.deepcopy(rng.bit_generator.state))
+        entry.update(cur=cur, state=rng.bit_generator.state)  # a fresh dict
         return closed_form(cur, k_, bundle)
 
     monkeypatch.setattr(truesig, "_equality_probabilities", recording)
