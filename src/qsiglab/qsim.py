@@ -323,16 +323,6 @@ def reduced_density(state: PureState, regs: Sequence[int]) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def partial_inner(state: PureState, regs: Sequence[int], ref: PureState) -> np.ndarray:
-    """(<ref| on ``regs``) (x) I applied to the state: the unnormalized
-    amplitudes of the other registers, in ascending order."""
-    regs = list(regs)
-    _check_targets(state, regs)
-    if (ref.d, ref.n) != (state.d, len(regs)):
-        raise ValueError(f"reference of shape ({ref.d},{ref.n}) for {len(regs)} registers of dimension {state.d}")
-    return ref.amps.conj() @ _front(state, regs)
-
-
 def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, PureState]:
     """Split off the given registers as an unentangled pure factor.
 
@@ -356,15 +346,6 @@ def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, Pu
     factor = PureState(state.d, len(regs), u)
     rest = PureState(state.d, state.n - len(regs), v / np.linalg.norm(v))
     return factor, rest
-
-
-def factor_fidelity(state: PureState, regs: Sequence[int], ref: PureState) -> float:
-    """Fidelity of the factor on ``regs`` with ``ref``; 0.0 if the cut is entangled."""
-    try:
-        factor, _ = extract_factor(state, regs)
-    except EntangledFactorError:
-        return 0.0
-    return fidelity(factor, ref)
 
 
 # ---------------------------------------------------------------------------

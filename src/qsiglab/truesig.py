@@ -33,18 +33,16 @@ from .fieldcode import (
     parity_constraints,
 )
 from .qsim import (
-    _EXACT,
     TOL,
     PureState,
+    _front,
     apply_classical_bijection,
-    apply_gate,
     extract_factor,
-    factor_fidelity,
+    fidelity,
     fourier_gate,
     make_state,
     new_rng,
     parity_measure,
-    partial_inner,
     sector_weights,
     tensor,
 )
@@ -165,28 +163,24 @@ def failed_step(verdict: FourStepVerdict) -> str:
     return "step4"
 
 
-def _omega_pairs(k: int) -> list[tuple[int, int]]:
-    return [(i, k - 1 + i) for i in range(1, k)]
+class _Referee:
+    """The referee's outcome source, in place of an rng: each test takes its
+    accepting outcome 0 exactly when that outcome's Born probability is at
+    least 1 - TOL, and otherwise its most likely rejecting outcome."""
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p)) or 1
+
+    def random(self) -> float:
+        # a test accepts when random() < p, so this accepts exactly when p >= 1 - TOL
+        return float(np.nextafter(1.0 - TOL, 0.0))
 
 
-def _equality_probabilities(cur: PureState, k: int, bundle: SignedBundle) -> tuple[float, float]:
-    """Born probabilities of protocol-mode step 4 on cur (x) copy, read off
-    cur's cuts so that the joint state is never built.
+_REFEREE = _Referee()
 
-    The swap test of register 0 against the copy accepts with (1 + <S>)/2,
-    <S> = |<copy|_0 cur|^2. After it accepts, the exchange test of registers
-    (1, k) against the shipped pair accepts with (1 + f)/2, where f is the
-    pair's weight <Omega|rho|Omega> in the symmetrized post-state: with
-    B = <Omega|_{1,k} cur, f = (|B|^2 + |<copy|_0 B|^2) / (1 + <S>). A state
-    the swap test finds already symmetric is left as it is, and f = |B|^2.
-    """
-    overlap = float(np.linalg.norm(partial_inner(cur, [0], bundle.p_copy)) ** 2)
-    p_swap = min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
-    b = partial_inner(cur, [1, k], bundle.omega_pair).reshape(cur.d, -1)
-    f = float(np.linalg.norm(b) ** 2)
-    if p_swap < 1.0 - _EXACT:
-        f = (f + float(np.linalg.norm(bundle.p_copy.amps.conj() @ b) ** 2)) / (1.0 + overlap)
-    return p_swap, min(max((1.0 + f) / 2.0, 0.0), 1.0)
+
+def _draw(source, weights: np.ndarray) -> int:
+    return int(source.choice(weights.size, p=weights / weights.sum()))
 
 
 def verify(
@@ -195,17 +189,20 @@ def verify(
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> FourStepVerdict:
-    """Four-step verification in either of two inspection regimes.
+    """Four-step verification: one sequence of tests, read in either of two
+    inspection regimes.
 
-    "protocol" runs the physically implementable sequence: syndrome
-    measurements, decode, pairwise parity tests in both bases, and the
-    equality tests (the swap test of the message against the copy, then the
-    exchange test of the first pair against the shipped one), sampled at
-    their exact Born probabilities on message (x) copy, which are computed
-    from the message cut (rng required; one draw per test).
-    "referee" is the noiseless classical referee: deterministic sector
-    weights, unentangled-factor extraction and fidelity thresholds at
-    1 - 1e-9, no randomness. Both short-circuit at the first failed step.
+    The tests are the syndrome measurements, the decode, two parity tests per
+    residual pair (a - b, then a + b in the conjugate basis), and the
+    equality tests: the swap test of the message against the copy, then the
+    exchange test of the reference pair against the shipped one, which
+    accept with (1 + F)/2. Each pair that passes both tests is exactly Omega
+    and is contracted away, so step 4 meets the one-register message.
+    "protocol" draws every outcome from the rng at its Born probability
+    (rng required; one draw per test). "referee" is the noiseless classical
+    referee: the same tests, with outcome 0 taken exactly when its Born
+    probability is at least 1 - TOL and no randomness. Both short-circuit at
+    the first failed step.
     """
     vk = keys.verifying if isinstance(keys, TrueSigKeys) else keys
     if mode not in ("referee", "protocol"):
@@ -216,8 +213,10 @@ def verify(
     cur = bundle.s_state
     if cur.d != d or cur.n != 2 * k - 1:
         raise ValueError(f"signed state must be {2 * k - 1} registers of dimension {d}")
-    if bundle.omega_pair.n != 2 or bundle.p_copy.n != 1:
-        raise ValueError("bundle references have the wrong register counts")
+    for name, ref, n in (("omega_pair", bundle.omega_pair, 2), ("p_copy", bundle.p_copy, 1)):
+        if (ref.d, ref.n) != (d, n):
+            raise ValueError(f"bundle reference {name} must be {n} register(s) of dimension {d}, got {ref.n} of dimension {ref.d}")
+    source = rng if mode == "protocol" else _REFEREE
 
     def fail(syndrome, s2=False, s3=False) -> FourStepVerdict:
         return FourStepVerdict(tuple(syndrome), s2, s3, False, False, mode)
@@ -226,50 +225,34 @@ def verify(
     syndrome: list[int] = []
     regs = list(range(2 * k - 1))
     for c in vk.constraints.vectors:
-        if mode == "protocol":
-            rec = parity_measure(cur, [int(v) for v in c], regs, rng)
-            cur = rec.post_state
-            syndrome.append(rec.outcome)
-        else:
-            weights = sector_weights(cur, c, regs)
-            dominant = int(np.argmax(weights))
-            syndrome.append(0 if dominant == 0 and weights[0] >= 1.0 - TOL else (dominant or 1))
-        if syndrome[-1] != 0:
+        rec = parity_measure(cur, [int(v) for v in c], regs, source)
+        cur = rec.post_state
+        syndrome.append(rec.outcome)
+        if rec.outcome != 0:
             return fail(syndrome)
 
     # step 2: decode relabeling (a bijection; carries no pass/fail of its own)
     cur = decode(vk, cur)
 
-    # step 3: every residual pair must be the reference pair
-    omega = canonical_omega(d)
-    if mode == "protocol":
-        ff = fourier_gate(d)
-        ff_dg = ff.dagger()
-        for a, b in _omega_pairs(k):
-            rec = parity_measure(cur, [1, d - 1], [a, b], rng)
-            cur = rec.post_state
-            if rec.outcome != 0:
-                return fail(syndrome, s2=True)
-            cur = apply_gate(apply_gate(cur, ff, [a]), ff, [b])
-            rec = parity_measure(cur, [1, 1], [a, b], rng)
-            cur = rec.post_state
-            if rec.outcome != 0:
-                return fail(syndrome, s2=True)
-            cur = apply_gate(apply_gate(cur, ff_dg, [a]), ff_dg, [b])
-    else:
-        for a, b in _omega_pairs(k):
-            if not factor_fidelity(cur, [a, b], omega) >= 1.0 - TOL:
-                return fail(syndrome, s2=True)
+    # step 3: every residual pair must be the reference pair. On 2j + 1
+    # registers the next pair is (1, j + 1): (1, k), (2, k + 1), ... of the
+    # decoded state, as each passed pair leaves.
+    ff = fourier_gate(d).entries
+    for j in range(k - 1, 0, -1):
+        pair = [1, j + 1]
+        if _draw(source, sector_weights(cur, [1, d - 1], pair)) != 0:
+            return fail(syndrome, s2=True)
+        # after a - b = 0 only the a = b diagonal is left; F on it gives the
+        # amplitudes of the conjugate-basis sectors a + b = s, row s
+        conj = ff @ _front(cur, pair)[:: d + 1]
+        if _draw(source, np.sum(np.abs(conj) ** 2, axis=1)) != 0:
+            return fail(syndrome, s2=True)
+        cur = make_state(d, 2 * j - 1, conj[0])  # row 0 of F sums the diagonal: <Omega|_pair cur
 
-    # step 4: decoded message vs plaintext copy, first pair vs shipped pair
-    if mode == "referee":
-        ok4 = (
-            factor_fidelity(cur, [0], bundle.p_copy) >= 1.0 - TOL
-            and factor_fidelity(cur, [1, k], bundle.omega_pair) >= 1.0 - TOL
-        )
-    else:
-        p_swap, p_pair = _equality_probabilities(cur, k, bundle)
-        ok4 = bool(rng.random() < p_swap and rng.random() < p_pair)
+    # step 4: decoded message vs plaintext copy, the reference pair vs shipped pair
+    p_swap = (1.0 + fidelity(cur, bundle.p_copy)) / 2.0
+    p_pair = (1.0 + fidelity(canonical_omega(d), bundle.omega_pair)) / 2.0
+    ok4 = bool(source.random() < p_swap and source.random() < p_pair)
     return FourStepVerdict(tuple(syndrome), True, True, ok4, ok4, mode)
 
 

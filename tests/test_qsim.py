@@ -18,7 +18,6 @@ from qsiglab.qsim import (
     controlled_add_gate,
     derive_seed,
     extract_factor,
-    factor_fidelity,
     fidelity,
     fourier_gate,
     hadamard_gate,
@@ -26,7 +25,6 @@ from qsiglab.qsim import (
     new_rng,
     parity_labels,
     parity_measure,
-    partial_inner,
     pauli_gate,
     permute_registers,
     phase_eighth_gate,
@@ -373,25 +371,6 @@ def test_extract_factor_residual_threshold(eps, entangled):
         assert factor.amps[2 * 3 + 0] == 1.0 and rest.amps[1] == 1.0
 
 
-def test_partial_inner_contracts_the_given_registers():
-    rng = new_rng(33)
-    state = sample_random_pure(3, 4, rng)
-    ref = sample_random_pure(3, 2, rng)
-    got = partial_inner(state, [3, 1], ref)
-    arr = state.amps.reshape(3, 3, 3, 3)
-    want = np.einsum("db,abcd->ac", ref.amps.conj().reshape(3, 3), arr).reshape(-1)
-    assert np.allclose(got, want, atol=1e-14)
-    # its squared norm is the reference's weight in the reduced state
-    rho = reduced_density(state, [3, 1])
-    assert np.vdot(got, got).real == pytest.approx(np.vdot(ref.amps, rho @ ref.amps).real, abs=1e-14)
-    with pytest.raises(ValueError):
-        partial_inner(state, [0], ref)  # one register against a two-register reference
-    with pytest.raises(ValueError):
-        partial_inner(state, [0, 1], sample_random_pure(2, 2, rng))
-    with pytest.raises(ValueError):
-        partial_inner(state, [1, 1], ref)
-
-
 def test_extract_factor_phase_bookkeeping():
     # factor (x) rest reconstructs the state exactly; any global phase lands
     # on one side only, so fidelity against references is still exact
@@ -477,19 +456,6 @@ def test_layout_matches_index_loops(d, targets):
     for x in every:
         rebuilt = factor.amps[_flat([x[q] for q in targets], d)] * other.amps[_flat([x[q] for q in rest], d)]
         assert abs(rebuilt - amps[_flat(x, d)]) < 1e-12
-    ref = PureState(d, m, u)
-    assert factor_fidelity(product, targets, ref) == fidelity(factor, ref)
-    assert factor_fidelity(product, targets, ref) > 1 - 1e-12
-
-
-def test_factor_fidelity_is_zero_on_an_entangled_cut():
-    bell = make_state(2, 2, [1, 0, 0, 1])
-    assert factor_fidelity(bell, [0], make_state(2, 1, [1, 0])) == 0.0
-    assert factor_fidelity(tensor(bell, basis_state(2, 1, [1])), [2, 1], basis_state(2, 2, [1, 0])) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# digests
 
 
 def test_state_digest_distinguishes_and_repeats():

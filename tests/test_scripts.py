@@ -1,5 +1,5 @@
-"""Smoke runs of the calibration, table and bench-record scripts at tiny sizes,
-and the benchmark tracer's bindings."""
+"""Smoke runs of the calibration, table, bench-record and mutant scripts at
+tiny sizes, and the benchmark tracer's bindings."""
 import importlib
 import json
 import os
@@ -53,6 +53,18 @@ def test_bench_record_label_needs_out():
     )
     assert proc.returncode == 2
     assert "--out is required" in proc.stderr
+
+
+def test_mutant_is_killed():
+    # one cheap mutant end to end; the whole list runs on demand, not in this suite
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "truesig_p_pair_ignores_shipped_pair"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "truesig_p_pair_ignores_shipped_pair: killed\n"
 
 
 def test_tracer_names_resolve(monkeypatch):

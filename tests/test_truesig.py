@@ -5,13 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from qsiglab import truesig
 from qsiglab.qsim import (
+    TOL,
+    GateMatrix,
+    apply_classical_bijection,
     apply_gate,
     extract_factor,
     fidelity,
+    fourier_gate,
     make_state,
     new_rng,
+    parity_labels,
+    parity_measure,
     reduced_density,
     sample_random_pure,
     symmetric_subspace_measure,
@@ -179,6 +184,20 @@ def test_verify_input_validation():
         verify(keys, bad_ref, "referee")
 
 
+@pytest.mark.parametrize("mode", ["referee", "protocol"])
+@pytest.mark.parametrize("ref, other", [("omega_pair", canonical_omega(3)), ("p_copy", basis_state(3, 1, [0]))])
+def test_verify_rejects_references_of_another_dimension(ref, other, mode):
+    # before any test is drawn, whether or not the signed state would pass step 1
+    keys, bundle, _ = _bundle(5, 2, 31)
+    substituted = dataclasses.replace(bundle, s_state=sample_random_pure(5, 3, new_rng(32)))
+    rng = new_rng(33)
+    for signed in (bundle, substituted):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=ref):
+            verify(keys, dataclasses.replace(signed, **{ref: other}), mode, rng=rng)
+        assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # verification, dishonest paths
 
@@ -232,84 +251,125 @@ def test_copy_mismatch_protocol_accepts_at_overlap_rate():
 
 
 # ---------------------------------------------------------------------------
-# protocol-mode step 4 against the joint state cur (x) copy
+# protocol mode against the full-state composition
 
 
-class _AcceptEveryDraw:
-    """Stands in for an rng so that every sampled test takes outcome 0."""
+def _reference_verify(keys, bundle, rng):
+    """Protocol-mode verify composed from qsim's generic measurements, with no
+    register contracted away: the syndrome, each pair's a - b test and its
+    a + b test between F (x) F and its inverse, then the swap test on
+    cur (x) copy and the shipped pair's weight in the reduced state of the
+    post-state."""
+    vk = keys.verifying
+    d, k = vk.d, vk.k
+    cur, syndrome = bundle.s_state, []
 
-    def random(self) -> float:
-        return 0.0
+    def verdict(s2, s3, ok=False):
+        return FourStepVerdict(tuple(syndrome), s2, s3, ok, ok, "protocol")
 
-
-def _joint_step4(cur, k, bundle, rng):
-    """Step 4 composed from qsim's generic measurements on cur (x) copy: the
-    swap test, then the shipped pair's weight in the reduced state of the
-    post-state. Returns the verdict and the two accept probabilities (the
-    second is None when the swap test rejects)."""
+    for c in vk.constraints.vectors:
+        rec = parity_measure(cur, [int(v) for v in c], list(range(2 * k - 1)), rng)
+        cur = rec.post_state
+        syndrome.append(rec.outcome)
+        if rec.outcome != 0:
+            return verdict(False, False)
+    cur = decode(vk, cur)
+    ff = fourier_gate(d)
+    for a, b in [(i, k - 1 + i) for i in range(1, k)]:
+        rec = parity_measure(cur, [1, d - 1], [a, b], rng)
+        if rec.outcome != 0:
+            return verdict(True, False)
+        cur = apply_gate(apply_gate(rec.post_state, ff, [a]), ff, [b])
+        rec = parity_measure(cur, [1, 1], [a, b], rng)
+        if rec.outcome != 0:
+            return verdict(True, False)
+        cur = apply_gate(apply_gate(rec.post_state, ff.dagger(), [a]), ff.dagger(), [b])
     rec = symmetric_subspace_measure(tensor(cur, bundle.p_copy), [0], [2 * k - 1], rng)
     if rec.outcome != 0:
-        return False, 1.0 - rec.probability, None
+        return verdict(True, True)
     rho = reduced_density(rec.post_state, [1, k])
     ref = np.outer(bundle.omega_pair.amps, bundle.omega_pair.amps.conj())
     p_pair = min(max((1.0 + float(np.trace(rho @ ref).real)) / 2.0, 0.0), 1.0)
-    return bool(rng.random() < p_pair), rec.probability, p_pair
+    return verdict(True, True, bool(rng.random() < p_pair))
 
 
-def _step4_bundles(d, k):
-    """Honest, forged, randomly substituted, and honest with another copy
-    (whose swap test is not certain, so the general form applies)."""
+def _unitary_near_identity(d: int, m: int, eps: float, rng) -> GateMatrix:
+    """exp(i eps H) for a random Hermitian H on m registers."""
+    h = rng.standard_normal((d**m, d**m)) + 1j * rng.standard_normal((d**m, d**m))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return GateMatrix(d, m, (v * np.exp(1j * eps * w)) @ v.conj().T)
+
+
+def _bundle_kinds(d, k):
+    """Honest and forged bundles, and ones that fail at every step, some of
+    them only with some probability."""
     keys, honest, _ = _bundle(d, k, 800 + d + k)
     other = _random_message(d, 810 + d + k)
     rng = new_rng(820 + d + k)
+    signed = lambda gate, targets: dataclasses.replace(honest, s_state=apply_gate(honest.s_state, gate, targets))
+    # registers 0 and 2k - 2 hold a message coordinate and a pair half
     return keys, {
         "honest": honest,
         "forged": forge(keys.verifying, honest, other, make_state(d, 1, other)),
         "substituted": dataclasses.replace(honest, s_state=sample_random_pure(d, 2 * k - 1, rng)),
         "other copy": dataclasses.replace(honest, p_copy=make_state(d, 1, other)),
+        "shifted omega": dataclasses.replace(honest, omega_pair=apply_gate(honest.omega_pair, shift_gate(d), [0])),
+        "random omega": dataclasses.replace(honest, omega_pair=sample_random_pure(d, 2, rng)),
+        "clock": signed(clock_gate(d), [2 * k - 2]),
+        "unitary": signed(_unitary_near_identity(d, 2, 1.0, rng), [0, 2 * k - 2]),
+        "near identity": signed(_unitary_near_identity(d, 2, 0.05, rng), [0, 2 * k - 2]),
     }
 
 
 @pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
-def test_step4_probabilities_match_joint_state(d, k):
-    keys, bundles = _step4_bundles(d, k)
-    for name, bundle in bundles.items():
-        cur = decode(keys, bundle.s_state)  # any state can meet step 4 here
-        _, p_swap, p_pair = _joint_step4(cur, k, bundle, _AcceptEveryDraw())
-        got = truesig._equality_probabilities(cur, k, bundle)
-        assert abs(got[0] - p_swap) <= 1e-12, name
-        assert abs(got[1] - p_pair) <= 1e-12, name
-
-
-@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
-def test_step4_verdicts_and_draws_match_joint_state(d, k, monkeypatch):
-    keys, bundles = _step4_bundles(d, k)
-    closed_form = truesig._equality_probabilities
-    entry = {}
-
-    def recording(cur, k_, bundle):
-        entry.update(cur=cur, state=rng.bit_generator.state)  # a fresh dict
-        return closed_form(cur, k_, bundle)
-
-    monkeypatch.setattr(truesig, "_equality_probabilities", recording)
-    outcomes = set()
+def test_protocol_matches_full_state_reference(d, k):
+    keys, bundles = _bundle_kinds(d, k)
+    seen = set()
     for name, bundle in bundles.items():
         for seed in range(6):
-            entry.clear()
-            rng = new_rng(seed)
+            rng, replay = new_rng(seed), new_rng(seed)
             verdict = verify(keys, bundle, "protocol", rng=rng)
-            if not entry:  # stopped before step 4
-                assert failed_step(verdict) in ("step1", "step3"), name
-                continue
-            replay = new_rng()
-            replay.bit_generator.state = entry["state"]
-            ok4, _, p_pair = _joint_step4(entry["cur"], k, bundle, replay)
-            assert verdict.step4_equality == verdict.overall == ok4, (name, seed)
-            assert replay.bit_generator.state == rng.bit_generator.state, (name, seed)
-            outcomes.add((name, p_pair is not None, ok4))
-    assert ("honest", True, True) in outcomes and ("forged", True, True) in outcomes
-    assert ("other copy", False, False) in outcomes  # the swap test rejected
-    assert ("other copy", True, True) in outcomes or ("other copy", True, False) in outcomes
+            assert verdict == _reference_verify(keys, bundle, replay), (name, seed)
+            assert rng.bit_generator.state == replay.bit_generator.state, (name, seed)
+            seen.add(failed_step(verdict))
+    assert seen == {"none", "step1", "step3", "step4"}
+
+
+# ---------------------------------------------------------------------------
+# the referee's threshold: a test's rejecting outcome below TOL is not seen
+
+
+def _near_honest(kind: str, eps: float) -> tuple[TrueSigKeys, SignedBundle]:
+    """A d = 5, k = 2 bundle on which one test rejects with probability eps
+    and every other test accepts with certainty once it has passed."""
+    keys, bundle, psi = _bundle(5, 2, 83)
+    mix = lambda a, b, w: np.sqrt(1 - w) * a + np.sqrt(w) * b  # of orthogonal unit vectors
+    s = bundle.s_state
+    if kind == "syndrome":  # plus a basis state of nonzero syndrome
+        off = np.eye(125)[np.flatnonzero(parity_labels(5, 3, keys.verifying.constraints.vectors[0], [0, 1, 2]))[0]]
+        return keys, dataclasses.replace(bundle, s_state=make_state(5, 3, mix(s.amps, off, eps)))
+    if kind == "pair":
+        # decoded, plus another message with a clock on a pair half (which
+        # moves the pair's conjugate-basis sector): entangled at amplitude
+        # sqrt(eps), far above TOL, at probability eps
+        decoded = decode(keys, s)
+        off = apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2]).amps
+        signed = apply_classical_bijection(make_state(5, 3, mix(decoded.amps, off, eps)), keys.verifying.decode.inverted(), [0, 1])
+        return keys, dataclasses.replace(bundle, s_state=signed)
+    # the equality tests reject with (1 - F)/2
+    if kind == "copy":
+        orth = np.eye(5)[0] - np.conj(psi[0]) * psi
+        return keys, dataclasses.replace(bundle, p_copy=make_state(5, 1, mix(psi, orth / np.linalg.norm(orth), 2 * eps)))
+    off = apply_gate(bundle.omega_pair, shift_gate(5), [0]).amps
+    return keys, dataclasses.replace(bundle, omega_pair=make_state(5, 2, mix(bundle.omega_pair.amps, off, 2 * eps)))
+
+
+@pytest.mark.parametrize("kind, step", [("syndrome", "step1"), ("pair", "step3"), ("copy", "step4"), ("shipped pair", "step4")])
+def test_referee_accepts_below_tol_and_rejects_above(kind, step):
+    keys, below = _near_honest(kind, 0.5 * TOL)
+    assert failed_step(verify(keys, below, "referee")) == "none"
+    keys, above = _near_honest(kind, 2 * TOL)
+    assert failed_step(verify(keys, above, "referee")) == step
 
 
 def test_omega_reference_mismatch_fails_step4():
