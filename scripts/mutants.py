@@ -105,7 +105,8 @@ def run_mutant(tree: Path, mutant: Mutant) -> str:
         return "stale"
     target.write_text(original.replace(mutant.old, mutant.new))
     report = tree / "mutant-report.xml"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
+    paths = (str(tree / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant.tests]
     try:
         subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)

@@ -215,7 +215,7 @@ def verify(
         raise ValueError(f"signed state must be {2 * k - 1} registers of dimension {d}")
     for name, ref, n in (("omega_pair", bundle.omega_pair, 2), ("p_copy", bundle.p_copy, 1)):
         if (ref.d, ref.n) != (d, n):
-            raise ValueError(f"bundle reference {name} must be {n} register(s) of dimension {d}, got {ref.n} of dimension {ref.d}")
+            raise ValueError(f"reference {name} must be {n} register(s) of dimension {d}, got ({ref.d},{ref.n})")
     source = rng if mode == "protocol" else _REFEREE
 
     def fail(syndrome, s2=False, s3=False) -> FourStepVerdict:

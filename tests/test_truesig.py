@@ -349,22 +349,26 @@ def _near_honest(kind: str, eps: float) -> tuple[TrueSigKeys, SignedBundle]:
         off = np.eye(125)[np.flatnonzero(parity_labels(5, 3, keys.verifying.constraints.vectors[0], [0, 1, 2]))[0]]
         return keys, dataclasses.replace(bundle, s_state=make_state(5, 3, mix(s.amps, off, eps)))
     if kind == "pair":
-        # decoded, plus another message with a clock on a pair half (which
+        # decoded, plus the shifted message with a clock on a pair half (which
         # moves the pair's conjugate-basis sector): entangled at amplitude
         # sqrt(eps), far above TOL, at probability eps
         decoded = decode(keys, s)
         off = apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2]).amps
-        signed = apply_classical_bijection(make_state(5, 3, mix(decoded.amps, off, eps)), keys.verifying.decode.inverted(), [0, 1])
+        mixed = make_state(5, 3, mix(decoded.amps, off, eps))
+        signed = apply_classical_bijection(mixed, keys.verifying.decode.inverted(), [0, 1])
         return keys, dataclasses.replace(bundle, s_state=signed)
     # the equality tests reject with (1 - F)/2
     if kind == "copy":
         orth = np.eye(5)[0] - np.conj(psi[0]) * psi
-        return keys, dataclasses.replace(bundle, p_copy=make_state(5, 1, mix(psi, orth / np.linalg.norm(orth), 2 * eps)))
+        orth /= np.linalg.norm(orth)
+        return keys, dataclasses.replace(bundle, p_copy=make_state(5, 1, mix(psi, orth, 2 * eps)))
     off = apply_gate(bundle.omega_pair, shift_gate(5), [0]).amps
     return keys, dataclasses.replace(bundle, omega_pair=make_state(5, 2, mix(bundle.omega_pair.amps, off, 2 * eps)))
 
 
-@pytest.mark.parametrize("kind, step", [("syndrome", "step1"), ("pair", "step3"), ("copy", "step4"), ("shipped pair", "step4")])
+@pytest.mark.parametrize(
+    "kind, step", [("syndrome", "step1"), ("pair", "step3"), ("copy", "step4"), ("shipped pair", "step4")]
+)
 def test_referee_accepts_below_tol_and_rejects_above(kind, step):
     keys, below = _near_honest(kind, 0.5 * TOL)
     assert failed_step(verify(keys, below, "referee")) == "none"
