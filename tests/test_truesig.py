@@ -254,43 +254,68 @@ def test_copy_mismatch_protocol_accepts_at_overlap_rate():
 # protocol mode against the full-state composition
 
 
-def _reference_verify(keys, bundle, rng):
-    """Protocol-mode verify composed from qsim's generic measurements, with no
-    register contracted away: the syndrome, each pair's a - b test and its
-    a + b test between F (x) F and its inverse, then the swap test on
-    cur (x) copy and the shipped pair's weight in the reduced state of the
-    post-state."""
+class _Postselected:
+    """Stands in for an rng: each parity test takes outcome 0 whenever that
+    outcome is possible, so every bundle whose tests can pass reaches step 4;
+    the step 4 draws come from the iterator `draws`."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        return 0 if p[0] > 1e-6 else int(np.argmax(p[1:])) + 1
+
+    def random(self) -> float:
+        return next(self.draws)
+
+
+def _reference_steps_1_to_3(keys, bundle, rng):
+    """Protocol-mode steps 1 to 3 composed from qsim's generic measurements,
+    with no register contracted away: the syndrome, then each pair's a - b
+    test and its a + b test between F (x) F and its inverse. Returns the
+    syndrome, the step 2 and step 3 verdicts, and the decoded post-state."""
     vk = keys.verifying
     d, k = vk.d, vk.k
     cur, syndrome = bundle.s_state, []
-
-    def verdict(s2, s3, ok=False):
-        return FourStepVerdict(tuple(syndrome), s2, s3, ok, ok, "protocol")
-
     for c in vk.constraints.vectors:
         rec = parity_measure(cur, [int(v) for v in c], list(range(2 * k - 1)), rng)
         cur = rec.post_state
         syndrome.append(rec.outcome)
         if rec.outcome != 0:
-            return verdict(False, False)
+            return syndrome, False, False, cur
     cur = decode(vk, cur)
     ff = fourier_gate(d)
     for a, b in [(i, k - 1 + i) for i in range(1, k)]:
         rec = parity_measure(cur, [1, d - 1], [a, b], rng)
         if rec.outcome != 0:
-            return verdict(True, False)
+            return syndrome, True, False, rec.post_state
         cur = apply_gate(apply_gate(rec.post_state, ff, [a]), ff, [b])
         rec = parity_measure(cur, [1, 1], [a, b], rng)
         if rec.outcome != 0:
-            return verdict(True, False)
+            return syndrome, True, False, rec.post_state
         cur = apply_gate(apply_gate(rec.post_state, ff.dagger(), [a]), ff.dagger(), [b])
+    return syndrome, True, True, cur
+
+
+def _joint_step4(cur, k, bundle, rng):
+    """Step 4 on the joint state cur (x) copy: the swap test, then the shipped
+    pair's weight in the reduced state of the post-state on the first pair.
+    Returns the verdict and the two accept probabilities (the second is None
+    when the swap test rejects)."""
     rec = symmetric_subspace_measure(tensor(cur, bundle.p_copy), [0], [2 * k - 1], rng)
     if rec.outcome != 0:
-        return verdict(True, True)
+        return False, 1.0 - rec.probability, None
     rho = reduced_density(rec.post_state, [1, k])
     ref = np.outer(bundle.omega_pair.amps, bundle.omega_pair.amps.conj())
     p_pair = min(max((1.0 + float(np.trace(rho @ ref).real)) / 2.0, 0.0), 1.0)
-    return verdict(True, True, bool(rng.random() < p_pair))
+    return bool(rng.random() < p_pair), rec.probability, p_pair
+
+
+def _reference_verify(keys, bundle, rng):
+    """Protocol-mode verify composed from the two references above."""
+    syndrome, s2, s3, cur = _reference_steps_1_to_3(keys, bundle, rng)
+    ok = s3 and _joint_step4(cur, keys.verifying.k, bundle, rng)[0]
+    return FourStepVerdict(tuple(syndrome), s2, s3, ok, ok, "protocol")
 
 
 def _unitary_near_identity(d: int, m: int, eps: float, rng) -> GateMatrix:
@@ -333,6 +358,46 @@ def test_protocol_matches_full_state_reference(d, k):
             assert rng.bit_generator.state == replay.bit_generator.state, (name, seed)
             seen.add(failed_step(verdict))
     assert seen == {"none", "step1", "step3", "step4"}
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
+def test_step4_probabilities_match_joint_state(d, k):
+    # a step 4 test accepts a draw u exactly when u is below its Born
+    # probability, so draws 1e-12 either side of the joint state's must differ
+    keys, bundles = _bundle_kinds(d, k)
+    reached = set()
+    for name, bundle in bundles.items():
+        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, _Postselected(iter([])))
+        if not s3:
+            continue
+        _, p_swap, p_pair = _joint_step4(cur, k, bundle, _Postselected(iter([0.0, 0.0])))
+        step4 = lambda *draws: verify(keys, bundle, "protocol", rng=_Postselected(iter(draws))).step4_equality
+        assert step4(p_swap - 1e-12, 0.0) and not step4(p_swap + 1e-12, 0.0), name
+        assert step4(0.0, p_pair - 1e-12) and not step4(0.0, p_pair + 1e-12), name
+        reached.add(name)
+    assert {"honest", "forged", "substituted", "other copy", "shifted omega", "random omega"} <= reached
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
+def test_step4_verdicts_and_draws_match_joint_state(d, k):
+    # every bundle whose tests can pass meets step 4, with draws from an rng
+    keys, bundles = _bundle_kinds(d, k)
+    outcomes = set()
+    for name, bundle in bundles.items():
+        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, _Postselected(iter([])))
+        for seed in range(6):
+            rng, replay = new_rng(seed), new_rng(seed)
+            verdict = verify(keys, bundle, "protocol", rng=_Postselected(iter(rng.random, None)))
+            if not s3:
+                assert failed_step(verdict) in ("step1", "step3"), name
+                continue
+            ok4, _, p_pair = _joint_step4(cur, k, bundle, replay)
+            assert verdict.step4_equality == verdict.overall == ok4, (name, seed)
+            assert replay.bit_generator.state == rng.bit_generator.state, (name, seed)
+            outcomes.add((name, p_pair is not None, ok4))
+    assert ("honest", True, True) in outcomes and ("forged", True, True) in outcomes
+    assert ("other copy", False, False) in outcomes  # the swap test rejected
+    assert ("random omega", True, False) in outcomes  # the pair test rejected
 
 
 # ---------------------------------------------------------------------------
