@@ -10,9 +10,12 @@ there with a timeout, and puts the file back before the next one.
     python3 scripts/mutants.py                 # every mutant
     python3 scripts/mutants.py truesig_p_pair_ignores_shipped_pair
 
-A mutant is killed when every test it names fails (or errors), or when its
-run exceeds TIMEOUT_S. The exit status is 1 when a mutant survives or its
-old text no longer occurs exactly once, 2 for an unknown mutant name, and 0
+Before any mutant, the chosen mutants' tests run once on the unmutated
+copy; if one of them fails there, the script prints "baseline fails" and
+stops, since such a test would count as a kill. A mutant is killed when
+every test it names fails (or errors), or when its run exceeds TIMEOUT_S.
+The exit status is 1 when the baseline fails, a mutant survives or its old
+text no longer occurs exactly once, 2 for an unknown mutant name, and 0
 otherwise.
 """
 from __future__ import annotations
@@ -71,6 +74,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "truesig_referee_reports_an_outcome_without_weight",
+        "src/qsiglab/truesig.py",
+        "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1\n",
+        "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p)) or 1\n",
+        tuple(f"tests/test_truesig.py::test_referee_syndrome_names_an_outcome_with_weight[{s}]" for s in (2, 3, 4)),
+    ),
+    Mutant(
         "clifford_padded_first_stage_conjugate_phase",
         "src/qsiglab/clifford.py",
         "    payload = np.multiply(state.amps, _factor(phase), out=idle[: state.amps.size])\n",
@@ -97,6 +107,23 @@ def _failed_tests(report: Path) -> set[tuple[str, str]]:
     return failed
 
 
+def _failing(tree: Path, tests: tuple[str, ...]) -> list[str] | None:
+    """The ids in tests that fail (or error) when run in tree, or None on timeout."""
+    report = tree / "mutant-report.xml"
+    paths = (str(tree / "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *tests]
+    try:
+        subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    if not report.exists():  # pytest could not even collect: count every test as failing
+        return list(tests)
+    failed = _failed_tests(report)
+    report.unlink()
+    return [t for t in tests if _junit_key(t) in failed]
+
+
 def run_mutant(tree: Path, mutant: Mutant) -> str:
     """'killed', 'timeout', 'survived: <ids>' or 'stale' for one mutant in tree."""
     target = tree / mutant.file
@@ -104,21 +131,13 @@ def run_mutant(tree: Path, mutant: Mutant) -> str:
     if original.count(mutant.old) != 1:
         return "stale"
     target.write_text(original.replace(mutant.old, mutant.new))
-    report = tree / "mutant-report.xml"
-    paths = (str(tree / "src"), os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant.tests]
     try:
-        subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout"
+        failing = _failing(tree, mutant.tests)
     finally:
         target.write_text(original)
-    if not report.exists():
-        return f"survived: pytest wrote no report for {', '.join(mutant.tests)}"
-    failed = _failed_tests(report)
-    report.unlink()
-    passing = [t for t in mutant.tests if _junit_key(t) not in failed]
+    if failing is None:
+        return "timeout"
+    passing = [t for t in mutant.tests if t not in failing]
     return f"survived: {', '.join(passing)}" if passing else "killed"
 
 
@@ -142,6 +161,12 @@ def main() -> int:
         for top in ROOT.iterdir():
             if top.is_file():
                 shutil.copy2(top, tree / top.name)
+        # a test that already fails on the unmutated tree would count as a kill
+        named = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        failing = _failing(tree, named)
+        if failing is None or failing:
+            print(f"baseline fails: {'timeout' if failing is None else ', '.join(failing)}", flush=True)
+            return 1
         for mutant in chosen:
             status = run_mutant(tree, mutant)
             bad += status not in ("killed", "timeout")

@@ -166,10 +166,11 @@ def failed_step(verdict: FourStepVerdict) -> str:
 class _Referee:
     """The referee's outcome source, in place of an rng: each test takes its
     accepting outcome 0 exactly when that outcome's Born probability is at
-    least 1 - TOL, and otherwise its most likely rejecting outcome."""
+    least 1 - TOL, and otherwise its most likely rejecting outcome, which has
+    weight, so the syndrome names an outcome the protocol can draw."""
 
     def choice(self, n: int, p: np.ndarray) -> int:
-        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p)) or 1
+        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1
 
     def random(self) -> float:
         # a test accepts when random() < p, so this accepts exactly when p >= 1 - TOL

@@ -458,6 +458,10 @@ def test_layout_matches_index_loops(d, targets):
         assert abs(rebuilt - amps[_flat(x, d)]) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# digests
+
+
 def test_state_digest_distinguishes_and_repeats():
     a = basis_state(2, 2, [0, 1])
     b = basis_state(2, 2, [1, 0])

@@ -441,6 +441,21 @@ def test_referee_accepts_below_tol_and_rejects_above(kind, step):
     assert failed_step(verify(keys, above, "referee")) == step
 
 
+@pytest.mark.parametrize("sector", [1, 2, 3, 4])
+def test_referee_syndrome_names_an_outcome_with_weight(sector):
+    # mostly the honest state, plus a basis state of one nonzero syndrome:
+    # the referee reports that syndrome, the only one the protocol can draw
+    keys, bundle, _ = _bundle(5, 2, 83)
+    labels = parity_labels(5, 3, keys.verifying.constraints.vectors[0], [0, 1, 2])
+    off = np.eye(125)[np.flatnonzero(labels == sector)[0]]
+    amps = np.sqrt(0.9) * bundle.s_state.amps + np.sqrt(0.1) * off
+    mixed = dataclasses.replace(bundle, s_state=make_state(5, 3, amps))
+    verdict = verify(keys, mixed, "referee")
+    assert verdict.step1_syndrome == (sector,) and failed_step(verdict) == "step1"
+    drawn = {verify(keys, mixed, "protocol", rng=new_rng(seed)).step1_syndrome for seed in range(40)}
+    assert drawn == {(0,), (sector,)}
+
+
 def test_omega_reference_mismatch_fails_step4():
     keys, bundle, _ = _bundle(5, 2, 53)
     shifted = apply_gate(bundle.omega_pair, shift_gate(5), [0])
