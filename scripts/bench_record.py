@@ -8,12 +8,13 @@ A record holds the checkout's git sha, the machine (nproc, Python and numpy
 versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
-faults of one warm ``session_tamper_t6`` trial, one trap encode and one trap
-verify. The trials run first, right after calibration, and the trap kernels
-next, so no fault figure depends on the application kernels. The benchmark
-and the kernels run as subprocesses on the checkout's own ``src/`` and
-``qsigbench/``, so one copy of this script records any checkout. A full
-record takes about five minutes on a 2-core machine.
+faults of one warm ``session_tamper_t6`` trial, one trap encode, one trap
+verify and one protocol-mode truesig verify. The trials run first, right
+after calibration, and the trap kernels next, so no fault figure depends on
+the application kernels. The benchmark and the kernels run as subprocesses
+on the checkout's own ``src/`` and ``qsigbench/``, so one copy of this
+script records any checkout. A full record takes about five minutes on a
+2-core machine.
 
 ``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
 JSON; the full record runs it in a single-threaded subprocess.
@@ -70,6 +71,7 @@ def kernel_timings(checkout: Path) -> dict:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "qsigbench")]
     import calib
     import numpy as np
+    import qsiglab
     from qsiglab import attacks
     from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
     from qsiglab.clifford import apply_clifford, sample_clifford
@@ -103,9 +105,17 @@ def kernel_timings(checkout: Path) -> dict:
         out[f"apply_clifford_m{m}_ms"] = statistics.median(
             _median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())
         )
-    # the size of truesig's omega-pair check at d = 7, k = 3
+    # a two-register parity test on a 7^5 state, the size of the d = 7, k = 3 signed state
     st = sample_random_pure(7, 5, new_rng(7))
     out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)
+    # protocol verify of an honest d = 7, k = 3 bundle, through the package's public names only
+    keys = qsiglab.keygen(7, 3, 7)
+    psi = qsiglab.make_state(7, 1, np.arange(1, 8) + 1j * np.arange(7, 0, -1))
+    bundle, rng = qsiglab.sign(keys, psi.amps, psi), qsiglab.new_rng(0)
+    qsiglab.verify(keys, bundle, "protocol", rng=rng)
+    out["truesig_verify_d7k3_ms"], out["truesig_verify_d7k3_minflt"] = _median_ms_minflt(
+        lambda: qsiglab.verify(keys, bundle, "protocol", rng=rng), 50
+    )
     return out
 
 

@@ -46,21 +46,48 @@ class Mutant:
 _PROTOCOL_REFERENCE = tuple(
     f"tests/test_truesig.py::test_protocol_matches_full_state_reference[{c}]" for c in ("5-2", "7-3", "11-2")
 )
+_STEP1_PROJECTION = tuple(
+    f"tests/test_truesig.py::test_protocol_step1_projection_matches_full_state_reference[{c}]" for c in ("5-2", "7-3")
+)
+_REFEREE_SYNDROME = tuple(
+    f"tests/test_truesig.py::test_referee_syndrome_names_an_outcome_with_weight[{s}]" for s in (1, 2, 3, 4)
+)
 
 MUTANTS = [
     Mutant(
         "truesig_contracts_pair_1_j",
         "src/qsiglab/truesig.py",
-        "        pair = [1, j + 1]\n",
-        "        pair = [1, j]\n",
+        "        diag = np.diagonal(cur.amps.reshape(d, d, d ** (j - 1), d, d ** (j - 1)), axis1=1, axis2=3)\n",
+        "        diag = np.diagonal(cur.amps.reshape(d, d, d ** (j - 2), d, d ** j), axis1=1, axis2=3)\n",
         _PROTOCOL_REFERENCE,
     ),
     Mutant(
         "truesig_conjugate_weights_from_every_row",
         "src/qsiglab/truesig.py",
-        "        conj = ff @ _front(cur, pair)[:: d + 1]\n",
-        "        conj = ff @ _front(cur, pair).reshape(d, -1)\n",
+        "        conj = ff @ np.moveaxis(diag, -1, 0).reshape(d, -1)\n",
+        "        conj = ff @ np.moveaxis(cur.amps.reshape(d, d, -1), 1, 0).reshape(d, -1)\n",
         _PROTOCOL_REFERENCE,
+    ),
+    Mutant(
+        "truesig_syndrome_from_a_minus_b",
+        "src/qsiglab/truesig.py",
+        "    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
+        "    labels = vk.constraints.vectors[:, k:] @ (cells[: k - 1] - cells[k - 1 :]) % d\n",
+        _STEP1_PROJECTION + _REFEREE_SYNDROME,
+    ),
+    Mutant(
+        "truesig_syndrome_reads_the_leading_columns",
+        "src/qsiglab/truesig.py",
+        "    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
+        "    labels = vk.constraints.vectors[:, : k - 1] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
+        _STEP1_PROJECTION + _REFEREE_SYNDROME,
+    ),
+    Mutant(
+        "truesig_step1_keeps_an_uncertain_state",
+        "src/qsiglab/truesig.py",
+        "        if weights[0] / weights.sum() < 1.0 - _EXACT:  # an uncertain outcome: project onto it\n",
+        "        if False:\n",
+        _STEP1_PROJECTION,
     ),
     Mutant(
         "truesig_p_pair_ignores_shipped_pair",
@@ -78,7 +105,7 @@ MUTANTS = [
         "src/qsiglab/truesig.py",
         "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1\n",
         "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p)) or 1\n",
-        tuple(f"tests/test_truesig.py::test_referee_syndrome_names_an_outcome_with_weight[{s}]" for s in (2, 3, 4)),
+        _REFEREE_SYNDROME[1:],
     ),
     Mutant(
         "clifford_padded_first_stage_conjugate_phase",

@@ -300,7 +300,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Joint state with a's registers leading (most significant)."""
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    return PureState(a.d, a.n + b.n, np.kron(a.amps, b.amps))
+    return PureState(a.d, a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def permute_registers(state: PureState, order: Sequence[int]) -> PureState:

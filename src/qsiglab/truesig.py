@@ -33,17 +33,15 @@ from .fieldcode import (
     parity_constraints,
 )
 from .qsim import (
+    _EXACT,
     TOL,
     PureState,
-    _front,
     apply_classical_bijection,
     extract_factor,
     fidelity,
     fourier_gate,
     make_state,
     new_rng,
-    parity_measure,
-    sector_weights,
     tensor,
 )
 
@@ -184,6 +182,11 @@ def _draw(source, weights: np.ndarray) -> int:
     return int(source.choice(weights.size, p=weights / weights.sum()))
 
 
+def _pair_grid(state: PureState) -> np.ndarray:
+    """Born weight of each label of registers 1.., register 0 (the message) summed out."""
+    return (np.abs(state.amps) ** 2).reshape(state.d, -1).sum(axis=0)
+
+
 def verify(
     keys: TrueSigKeys | VerifyingKey,
     bundle: SignedBundle,
@@ -197,8 +200,12 @@ def verify(
     residual pair (a - b, then a + b in the conjugate basis), and the
     equality tests: the swap test of the message against the copy, then the
     exchange test of the reference pair against the shipped one, which
-    accept with (1 + F)/2. Each pair that passes both tests is exactly Omega
-    and is contracted away, so step 4 meets the one-register message.
+    accept with (1 + F)/2. The syndromes are read on the decoded labels,
+    where constraint c takes the value c[k:] . (b - a) mod d on pair labels
+    (a, b): the same observable as c . y on the signed labels y, since the
+    decode is a bijection and c annihilates the code point it solves for.
+    Each pair that passes both tests is exactly Omega and is contracted
+    away, so step 4 meets the one-register message.
     "protocol" draws every outcome from the rng at its Born probability
     (rng required; one draw per test). "referee" is the noiseless classical
     referee: the same tests, with outcome 0 taken exactly when its Born
@@ -211,9 +218,6 @@ def verify(
     if mode == "protocol" and rng is None:
         raise ValueError("protocol mode samples measurement outcomes and needs an rng")
     d, k = vk.d, vk.k
-    cur = bundle.s_state
-    if cur.d != d or cur.n != 2 * k - 1:
-        raise ValueError(f"signed state must be {2 * k - 1} registers of dimension {d}")
     for name, ref, n in (("omega_pair", bundle.omega_pair, 2), ("p_copy", bundle.p_copy, 1)):
         if (ref.d, ref.n) != (d, n):
             raise ValueError(f"reference {name} must be {n} register(s) of dimension {d}, got ({ref.d},{ref.n})")
@@ -222,33 +226,44 @@ def verify(
     def fail(syndrome, s2=False, s3=False) -> FourStepVerdict:
         return FourStepVerdict(tuple(syndrome), s2, s3, False, False, mode)
 
-    # step 1: parity syndrome over all coordinate registers
-    syndrome: list[int] = []
-    regs = list(range(2 * k - 1))
-    for c in vk.constraints.vectors:
-        rec = parity_measure(cur, [int(v) for v in c], regs, source)
-        cur = rec.post_state
-        syndrome.append(rec.outcome)
-        if rec.outcome != 0:
-            return fail(syndrome)
+    # step 2 runs first: the decode relabeling (a bijection; no pass/fail of
+    # its own; it checks the signed state's shape). Register 0 then holds the
+    # message and pair i = (i, k - 1 + i) the labels (a_i, b_i); every
+    # syndrome is a function of the differences b - a alone.
+    cur = decode(vk, bundle.s_state)
+    grid = _pair_grid(cur)
+    cells = np.indices((d,) * (2 * k - 2)).reshape(2 * k - 2, -1)  # (a, b) of each grid cell
+    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d
 
-    # step 2: decode relabeling (a bijection; carries no pass/fail of its own)
-    cur = decode(vk, cur)
+    # step 1: parity syndrome, one constraint at a time
+    syndrome: list[int] = []
+    for row in labels:
+        weights = np.bincount(row, weights=grid, minlength=d)
+        syndrome.append(_draw(source, weights))
+        if syndrome[-1] != 0:
+            return fail(syndrome)
+        if weights[0] / weights.sum() < 1.0 - _EXACT:  # an uncertain outcome: project onto it
+            vec = np.where(row == 0, cur.amps.reshape(d, -1), 0.0).reshape(-1)
+            cur = PureState(d, 2 * k - 1, vec / np.linalg.norm(vec))
+            grid = _pair_grid(cur)
 
     # step 3: every residual pair must be the reference pair. On 2j + 1
     # registers the next pair is (1, j + 1): (1, k), (2, k + 1), ... of the
     # decoded state, as each passed pair leaves.
     ff = fourier_gate(d).entries
+    a_minus_b = ((np.arange(d)[:, None] - np.arange(d)) % d).reshape(-1)
     for j in range(k - 1, 0, -1):
-        pair = [1, j + 1]
-        if _draw(source, sector_weights(cur, [1, d - 1], pair)) != 0:
+        ab = grid.reshape(d, d ** (j - 1), d, d ** (j - 1)).sum(axis=(1, 3))  # the pair's (a, b) weights
+        if _draw(source, np.bincount(a_minus_b, weights=ab.reshape(-1), minlength=d)) != 0:
             return fail(syndrome, s2=True)
         # after a - b = 0 only the a = b diagonal is left; F on it gives the
         # amplitudes of the conjugate-basis sectors a + b = s, row s
-        conj = ff @ _front(cur, pair)[:: d + 1]
+        diag = np.diagonal(cur.amps.reshape(d, d, d ** (j - 1), d, d ** (j - 1)), axis1=1, axis2=3)
+        conj = ff @ np.moveaxis(diag, -1, 0).reshape(d, -1)
         if _draw(source, np.sum(np.abs(conj) ** 2, axis=1)) != 0:
             return fail(syndrome, s2=True)
         cur = make_state(d, 2 * j - 1, conj[0])  # row 0 of F sums the diagonal: <Omega|_pair cur
+        grid = _pair_grid(cur)
 
     # step 4: decoded message vs plaintext copy, the reference pair vs shipped pair
     p_swap = (1.0 + fidelity(cur, bundle.p_copy)) / 2.0

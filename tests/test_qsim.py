@@ -323,6 +323,19 @@ def test_tensor_and_permute():
     assert np.allclose(rolled.amps, basis_state(2, 3, [0, 1, 1]).amps)
 
 
+@pytest.mark.parametrize(
+    "d, na, nb",
+    # forge: a message register onto the d^(2k-2) pair amplitudes; alice_sign:
+    # n signed qubits onto their n-qubit copy
+    [(5, 1, 2), (7, 1, 4), (7, 3, 2), (11, 1, 2), (11, 1, 4), (2, 1, 1), (2, 2, 2), (2, 3, 3)],
+)
+def test_tensor_bytes_equal_kron(d, na, nb):
+    rng = new_rng(d * 100 + na * 10 + nb)
+    for _ in range(20):
+        a, b = sample_random_pure(d, na, rng), sample_random_pure(d, nb, rng)
+        assert tensor(a, b).amps.tobytes() == np.kron(a.amps, b.amps).tobytes()
+
+
 def test_permute_rejects_non_permutation():
     with pytest.raises(ValueError):
         permute_registers(basis_state(2, 2, [0, 0]), [0, 0])

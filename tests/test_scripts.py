@@ -41,6 +41,8 @@ def test_script_runs(script, args):
         assert "qauth_encode_t6_minflt" in kernels
         assert "qauth_verify_t6_minflt" in kernels
         assert "session_tamper_t6_minflt" in kernels
+        assert kernels["truesig_verify_d7k3_ms"] > 0
+        assert "truesig_verify_d7k3_minflt" in kernels
 
 
 def test_bench_record_label_needs_out():

@@ -149,6 +149,21 @@ def test_decode_shape_validation():
         decode(keys, basis_state(5, 2, [0, 0]))
 
 
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2), (11, 3)])
+def test_syndrome_is_read_from_the_decoded_pair_differences(d, k):
+    # for every signed label y, C y = C[:, k:] (b - a) mod d, where a and b are
+    # the decoded labels of the pairs (i, k - 1 + i): the decode solves for the
+    # code point through registers 0..k-1, and C annihilates it
+    n = 2 * k - 1
+    y = np.indices((d,) * n).reshape(n, -1)
+    for seed in range(3):
+        vk = keygen(d, k, seed).verifying
+        c = vk.constraints.vectors
+        decoded = vk.decode.forward_table[np.ravel_multi_index(y[:k], (d,) * k)]
+        a = np.stack(np.unravel_index(decoded, (d,) * k)[1:])
+        assert np.array_equal(c @ y % d, c[:, k:] @ (y[k:] - a) % d)
+
+
 # ---------------------------------------------------------------------------
 # verification, honest path
 
@@ -358,6 +373,30 @@ def test_protocol_matches_full_state_reference(d, k):
             assert rng.bit_generator.state == replay.bit_generator.state, (name, seed)
             seen.add(failed_step(verdict))
     assert seen == {"none", "step1", "step3", "step4"}
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3)])
+def test_protocol_step1_projection_matches_full_state_reference(d, k):
+    # the honest state plus, at weight 1/2, one basis state per constraint i whose
+    # syndrome is 0 before i and nonzero at i: each syndrome test is uncertain,
+    # so a 0 drawn there projects, and the later tests run on the projection
+    keys, bundle, _ = _bundle(d, k, 89)
+    n = 2 * k - 1
+    labels = [parity_labels(d, n, c, list(range(n))) for c in keys.verifying.constraints.vectors]
+    off = np.zeros(d**n)
+    for i in range(k - 1):
+        before = np.all([row == 0 for row in labels[:i]], axis=0)
+        off[np.flatnonzero(before & (labels[i] != 0))[0]] = 1.0
+    amps = np.sqrt(0.5) * bundle.s_state.amps + np.sqrt(0.5) * off / np.linalg.norm(off)
+    mixed = dataclasses.replace(bundle, s_state=make_state(d, n, amps))
+    seen = set()
+    for seed in range(40):
+        rng, replay = new_rng(seed), new_rng(seed)
+        verdict = verify(keys, mixed, "protocol", rng=rng)
+        assert verdict == _reference_verify(keys, mixed, replay), seed
+        assert rng.bit_generator.state == replay.bit_generator.state, seed
+        seen.add(failed_step(verdict))
+    assert seen == {"none", "step1"}
 
 
 @pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
