@@ -75,7 +75,7 @@ def kernel_timings(checkout: Path) -> dict:
     from qsiglab import attacks
     from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
     from qsiglab.clifford import apply_clifford, sample_clifford
-    from qsiglab.qsim import new_rng, parity_measure, sample_random_pure
+    from qsiglab.qsim import new_rng, sample_random_pure
     from workloads import WORKLOADS, op_seed
 
     out = {"numpy": np.__version__, "calibration_ms": statistics.median(calib.calibrate() for _ in range(21)) * 1e3}
@@ -105,9 +105,6 @@ def kernel_timings(checkout: Path) -> dict:
         out[f"apply_clifford_m{m}_ms"] = statistics.median(
             _median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())
         )
-    # a two-register parity test on a 7^5 state, the size of the d = 7, k = 3 signed state
-    st = sample_random_pure(7, 5, new_rng(7))
-    out["parity_measure_d7_n5_ms"] = _median_ms(lambda: parity_measure(st, [1, 6], [0, 1], new_rng(0)), 20)
     # protocol verify of an honest d = 7, k = 3 bundle, through the package's public names only
     keys = qsiglab.keygen(7, 3, 7)
     psi = qsiglab.make_state(7, 1, np.arange(1, 8) + 1j * np.arange(7, 0, -1))

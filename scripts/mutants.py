@@ -102,10 +102,21 @@ MUTANTS = [
     ),
     Mutant(
         "truesig_referee_reports_an_outcome_without_weight",
-        "src/qsiglab/truesig.py",
+        "src/qsiglab/qsim.py",
         "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1\n",
         "        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p)) or 1\n",
-        _REFEREE_SYNDROME[1:],
+        _REFEREE_SYNDROME[1:]
+        + ("tests/test_qsim.py::test_referee_parity_measure_names_an_outcome_with_weight[p0_likeliest]",),
+    ),
+    Mutant(
+        "arbiter_referee_draws_from_rng",
+        "src/qsiglab/arbitrated.py",
+        "    source = outcome_source(arbiter.config.mode, arbiter.rng)\n",
+        "    source = arbiter.rng\n",
+        (
+            "tests/test_report_bytes.py::test_transcript_bytes_unchanged",
+            "tests/test_report_bytes.py::test_wrong_key_transcript_bytes_unchanged",
+        ),
     ),
     Mutant(
         "clifford_padded_first_stage_conjugate_phase",
@@ -113,6 +124,13 @@ MUTANTS = [
         "    payload = np.multiply(state.amps, _factor(phase), out=idle[: state.amps.size])\n",
         "    payload = np.multiply(state.amps, _I_POW[-phase], out=idle[: state.amps.size])\n",
         tuple(f"tests/test_authcrypto.py::test_encode_matches_full_block_path[{t}]" for t in range(7)),
+    ),
+    Mutant(
+        "clifford_padded_returns_a_workspace_buffer",
+        "src/qsiglab/clifford.py",
+        "    out = np.empty_like(buf)\n    _scatter(buf, out, op.m, *last)\n",
+        "    out = idle\n    _scatter(buf, out, op.m, *last)\n",
+        ("tests/test_clifford.py::test_results_never_alias_the_workspace",),
     ),
 ]
 

@@ -41,7 +41,6 @@ from .authcrypto import (
 )
 from .qsim import (
     MAX_AMPS,
-    TOL,
     EntangledFactorError,
     GateMatrix,
     PureState,
@@ -52,6 +51,7 @@ from .qsim import (
     fidelity,
     hadamard_gate,
     new_rng,
+    outcome_source,
     pauli_gate,
     permute_registers,
     phase_eighth_gate,
@@ -374,9 +374,10 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
     """T_REPLY or ABORT: peel both wrappings, judge the signature, repack.
 
     Validity r = 1 means the unsigned message registers match the plaintext
-    copy. In referee mode that comparison is exact (unentangled-factor
-    extraction plus fidelity, no sampling); in protocol mode it is one
-    symmetric-subspace measurement, the physically implementable check.
+    copy: one symmetric-subspace measurement, whose outcome comes from the
+    arbiter's rng in protocol mode and from the referee (accept exactly when
+    its probability is at least 1 - TOL) in referee mode. The reply carries
+    the post-measurement state.
     A message that fails the open check of the outer (bob's) or the inner
     (alice's) wrapping ends in ABORT like any other failed check: one in
     another phase, with a payload that is not 2n + 2t qubit registers, or
@@ -404,19 +405,11 @@ def arbiter_adjudicate(arbiter: Party, y_msg: ProtocolMessage) -> ProtocolMessag
         return abort("arb_auth_inner")
 
     unsigned = apply_gate(core, arbiter.signer.dagger(), range(n))
-    if arbiter.config.mode == "referee":
-        try:
-            factor, rest = extract_factor(unsigned, list(range(n)))
-            r = 1 if fidelity(factor, rest) >= 1.0 - TOL else 0
-        except EntangledFactorError:
-            r = 0
-        post = unsigned
-    else:
-        rec = symmetric_subspace_measure(unsigned, list(range(n)), list(range(n, 2 * n)), arbiter.rng)
-        r = 1 if rec.outcome == 0 else 0
-        post = rec.post_state
+    source = outcome_source(arbiter.config.mode, arbiter.rng)
+    rec = symmetric_subspace_measure(unsigned, list(range(n)), list(range(n, 2 * n)), source)
+    r = 1 if rec.outcome == 0 else 0
 
-    resigned = apply_gate(post, arbiter.signer, range(n))
+    resigned = apply_gate(rec.post_state, arbiter.signer, range(n))
     reply_core = permute_registers(resigned, list(range(n, 2 * n)) + list(range(n)))
     block = qauth_encode(reply_core, bob_link.auth_key_at(1), t)
     return _send(PHASE_T_REPLY, block, bob_mac, 1, r=r)

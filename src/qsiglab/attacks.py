@@ -259,9 +259,9 @@ def _rate_below(p0_of: Callable[[dict], float], claim: str):
 
 
 def _wrong_key_regime(report: Report) -> tuple[bool, str]:
+    # the exchange test accepts a wrong signature with prob (1+F)/2, the referee only if that is >= 1 - TOL
     if report.params["mode"] == "referee":
-        return report.accept_rate <= 0.01, "accept_rate <= 0.01 (referee comparison is exact)"
-    # one symmetric-subspace shot accepts a wrong signature with prob (1+F)/2
+        return report.accept_rate <= 0.01, "accept_rate <= 0.01 (referee: exchange test at 1 - TOL)"
     return report.accept_rate <= 0.9, "accept_rate <= 0.9 (single equality shot, protocol mode)"
 
 

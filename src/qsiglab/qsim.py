@@ -9,8 +9,9 @@ Conventions, fixed once and relied on everywhere:
     ``a`` the leading registers;
   * measurement outcome 0 is always the accepting outcome;
   * norm and fidelity checks use absolute tolerance ``TOL`` = 1e-9;
-  * every stochastic operation takes an explicit ``numpy.random.Generator``
-    so trials are replayable.
+  * every stochastic operation takes an explicit outcome source so trials
+    are replayable: a ``numpy.random.Generator``, or for the measurements the
+    referee, which outcome_source returns for ``mode="referee"``.
 
 States are immutable values: operations return new ``PureState`` objects.
 """
@@ -36,6 +37,32 @@ class EntangledFactorError(ValueError):
 
 def new_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class _Referee:
+    """The noiseless referee's outcome source, in place of an rng: each test
+    takes its accepting outcome 0 exactly when that outcome's Born probability
+    is at least 1 - TOL, and otherwise its most likely rejecting outcome,
+    which has weight, so it names an outcome the protocol can draw."""
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1
+
+    def random(self) -> float:
+        # a test accepts when random() < p, so this accepts exactly when p >= 1 - TOL
+        return float(np.nextafter(1.0 - TOL, 0.0))
+
+
+_REFEREE = _Referee()
+
+
+def outcome_source(mode: str, rng: np.random.Generator | None = None) -> np.random.Generator | _Referee:
+    """Where measurements take their outcomes: rng in "protocol" mode, the referee in "referee"."""
+    if mode not in ("referee", "protocol"):
+        raise ValueError(f"mode must be 'referee' or 'protocol', got {mode!r}")
+    if mode == "protocol" and rng is None:
+        raise ValueError("protocol mode samples measurement outcomes and needs an rng")
+    return rng if mode == "protocol" else _REFEREE
 
 
 def derive_seed(*parts: object) -> int:
@@ -231,7 +258,7 @@ def _check_blocks(state: PureState, regs_a: Sequence[int], regs_b: Sequence[int]
 
 
 def symmetric_subspace_measure(
-    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], rng: np.random.Generator
+    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], source: np.random.Generator | _Referee
 ) -> MeasurementRecord:
     """Projective measurement onto the exchange-symmetric subspace of two blocks.
 
@@ -246,7 +273,7 @@ def symmetric_subspace_measure(
     swapped = _exchange_swapped(state, regs_a, regs_b)
     overlap = np.vdot(state.amps, swapped).real
     p_acc = float(min(max((1.0 + overlap) / 2.0, 0.0), 1.0))
-    accept = bool(rng.random() < p_acc)
+    accept = bool(source.random() < p_acc)
     if accept:
         if p_acc >= 1.0 - _EXACT:
             post = state  # already symmetric: unchanged
@@ -263,7 +290,7 @@ def symmetric_subspace_measure(
 
 
 def parity_measure(
-    state: PureState, coeffs: Sequence[int], targets: Sequence[int], rng: np.random.Generator
+    state: PureState, coeffs: Sequence[int], targets: Sequence[int], source: np.random.Generator | _Referee
 ) -> MeasurementRecord:
     """Measure sum(coeffs[i] * label(targets[i])) mod d, nondestructively.
 
@@ -273,7 +300,7 @@ def parity_measure(
     """
     weights = sector_weights(state, coeffs, targets)
     probs = weights / weights.sum()
-    outcome = int(rng.choice(state.d, p=probs))
+    outcome = int(source.choice(state.d, p=probs))
     p = float(probs[outcome])
     if p >= 1.0 - _EXACT:
         return MeasurementRecord(outcome, p, state)

@@ -34,7 +34,6 @@ from .fieldcode import (
 )
 from .qsim import (
     _EXACT,
-    TOL,
     PureState,
     apply_classical_bijection,
     extract_factor,
@@ -42,6 +41,7 @@ from .qsim import (
     fourier_gate,
     make_state,
     new_rng,
+    outcome_source,
     tensor,
 )
 
@@ -161,23 +161,6 @@ def failed_step(verdict: FourStepVerdict) -> str:
     return "step4"
 
 
-class _Referee:
-    """The referee's outcome source, in place of an rng: each test takes its
-    accepting outcome 0 exactly when that outcome's Born probability is at
-    least 1 - TOL, and otherwise its most likely rejecting outcome, which has
-    weight, so the syndrome names an outcome the protocol can draw."""
-
-    def choice(self, n: int, p: np.ndarray) -> int:
-        return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1
-
-    def random(self) -> float:
-        # a test accepts when random() < p, so this accepts exactly when p >= 1 - TOL
-        return float(np.nextafter(1.0 - TOL, 0.0))
-
-
-_REFEREE = _Referee()
-
-
 def _draw(source, weights: np.ndarray) -> int:
     return int(source.choice(weights.size, p=weights / weights.sum()))
 
@@ -213,15 +196,11 @@ def verify(
     the first failed step.
     """
     vk = keys.verifying if isinstance(keys, TrueSigKeys) else keys
-    if mode not in ("referee", "protocol"):
-        raise ValueError(f"mode must be 'referee' or 'protocol', got {mode!r}")
-    if mode == "protocol" and rng is None:
-        raise ValueError("protocol mode samples measurement outcomes and needs an rng")
+    source = outcome_source(mode, rng)
     d, k = vk.d, vk.k
     for name, ref, n in (("omega_pair", bundle.omega_pair, 2), ("p_copy", bundle.p_copy, 1)):
         if (ref.d, ref.n) != (d, n):
             raise ValueError(f"reference {name} must be {n} register(s) of dimension {d}, got ({ref.d},{ref.n})")
-    source = rng if mode == "protocol" else _REFEREE
 
     def fail(syndrome, s2=False, s3=False) -> FourStepVerdict:
         return FourStepVerdict(tuple(syndrome), s2, s3, False, False, mode)

@@ -11,6 +11,7 @@ import pytest
 
 from qsiglab import arbitrated
 from qsiglab.attacks import SCENARIOS, Scenario, _session_trials, regime_check, run_scenario, unrelated_signer
+from qsiglab.qsim import MeasurementRecord
 
 SEED = 5
 
@@ -60,12 +61,16 @@ def test_mac_stops_a_verdict_flip(monkeypatch):
     assert rate > 0.01
 
 
-def test_signature_check_binds_the_signing_key(monkeypatch):
-    scenario = Scenario("wrong_key_binding", {"mode": "referee"}, 100, SEED)
+@pytest.mark.parametrize("mode", ["referee", "protocol"])
+def test_signature_check_binds_the_signing_key(monkeypatch, mode):
+    scenario = Scenario("wrong_key_binding", {"mode": mode}, 100, SEED)
     on = run_scenario(scenario)
     assert regime_check(on)[0]
 
-    monkeypatch.setattr(arbitrated, "fidelity", lambda a, b: 1.0)
+    # the arbiter's exchange test of the unsigned message against the copy, always accepting
+    monkeypatch.setattr(
+        arbitrated, "symmetric_subspace_measure", lambda state, *_: MeasurementRecord(0, 1.0, state)
+    )
     off = run_scenario(scenario)
     assert not regime_check(off)[0]
 

@@ -12,6 +12,7 @@ from qsiglab.qsim import (
     EntangledFactorError,
     GateMatrix,
     MAX_AMPS,
+    TOL,
     PureState,
     apply_classical_bijection,
     apply_gate,
@@ -23,6 +24,7 @@ from qsiglab.qsim import (
     hadamard_gate,
     make_state,
     new_rng,
+    outcome_source,
     parity_labels,
     parity_measure,
     pauli_gate,
@@ -306,6 +308,64 @@ def test_parity_outcome_probabilities_sum_to_one(seed):
     assert abs(weights.sum() - 1.0) < 1e-9
     rec = parity_measure(st_, [1, 1], [0, 1], rng)
     assert abs(rec.probability - weights[rec.outcome]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the referee as the measurements' outcome source
+
+REFEREE = outcome_source("referee")
+
+
+def test_outcome_source_by_mode():
+    rng = new_rng(0)
+    assert outcome_source("protocol", rng) is rng
+    assert outcome_source("referee", rng) is REFEREE
+    with pytest.raises(ValueError, match="needs an rng"):
+        outcome_source("protocol")
+    with pytest.raises(ValueError, match="mode must be"):
+        outcome_source("exact", rng)
+
+
+@pytest.mark.parametrize("infidelity, outcome", [(TOL, 0), (3 * TOL, 1)])
+def test_referee_exchange_test_accepts_at_one_minus_tol(infidelity, outcome):
+    # product blocks of squared overlap F accept with (1 + F)/2: at least
+    # 1 - TOL for F = 1 - TOL, below it for F = 1 - 3 TOL
+    psi = make_state(2, 1, [1, 0])
+    phi = make_state(2, 1, [np.sqrt(1 - infidelity), np.sqrt(infidelity)])
+    joint = tensor(psi, phi)
+    rec = symmetric_subspace_measure(joint, [0], [1], REFEREE)
+    assert rec.outcome == outcome
+    assert abs(rec.probability - (infidelity / 2 if outcome else 1 - infidelity / 2)) < 1e-15
+    sign = -1 if outcome else 1
+    projected = make_state(2, 2, joint.amps + sign * tensor(phi, psi).amps)
+    assert fidelity(rec.post_state, projected) > 1 - 1e-12
+
+
+def test_referee_exchange_test_accepts_a_symmetric_entangled_pair():
+    # (|01> + |10>)/sqrt(2) is exchange-symmetric though no product: it accepts, untouched
+    pair = make_state(2, 2, [0, 1, 1, 0])
+    rec = symmetric_subspace_measure(pair, [0], [1], REFEREE)
+    assert rec.outcome == 0 and rec.post_state is pair
+
+
+@pytest.mark.parametrize(
+    "weights, outcome",
+    [
+        ([1 - TOL / 2, 0, 0, TOL / 2, 0], 0),
+        ([1 - 2 * TOL, 0, 0, 2 * TOL, 0], 3),
+        ([0.6, 0, 0.15, 0.25, 0], 3),  # outcome 0 likeliest, short of 1 - TOL; 1 has no weight
+        ([0, 0, 0, 0, 1], 4),
+    ],
+    ids=["p0_at_least_1-TOL", "p0_below_1-TOL", "p0_likeliest", "p0_zero"],
+)
+def test_referee_parity_measure_names_an_outcome_with_weight(weights, outcome):
+    # one qudit, parity = its label: outcome 0 only at p0 >= 1 - TOL, else the
+    # likeliest rejecting outcome, and the post-state is that sector
+    st_ = make_state(5, 1, np.sqrt(weights))
+    rec = parity_measure(st_, [1], [0], REFEREE)
+    assert rec.outcome == outcome
+    assert abs(rec.probability - weights[outcome]) < 1e-12
+    assert fidelity(rec.post_state, basis_state(5, 1, [outcome])) > 1 - 1e-12
 
 
 # ---------------------------------------------------------------------------

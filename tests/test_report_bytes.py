@@ -10,15 +10,24 @@ Every scenario runs at its defaults, and every scenario that takes ``mode``
 runs again in protocol mode, each at seeds 0 and 17.
 
 Reports of honest sessions hold only accept and stage counts, which do not
-depend on the Clifford a seed selects, so one more digest pins session
-transcripts: they log a state digest after every protocol step.
+depend on the Clifford a seed selects, so two more digests pin session
+transcripts: they log a state digest after every protocol step. The second
+covers sessions whose arbiter unsigns with the wrong key, where the reply
+carries the rejected exchange test's post-measurement state.
 """
 import hashlib
 
 import pytest
 
-from qsiglab.arbitrated import SessionConfig, run_session
-from qsiglab.attacks import SCENARIOS, Scenario, canonical_report_json, pauli_tamper_hook, run_scenario
+from qsiglab.arbitrated import SessionConfig, run_session, setup
+from qsiglab.attacks import (
+    SCENARIOS,
+    Scenario,
+    canonical_report_json,
+    pauli_tamper_hook,
+    run_scenario,
+    unrelated_signer,
+)
 from qsiglab.qsim import derive_seed, new_rng
 
 TRIALS = {
@@ -104,3 +113,19 @@ def test_transcript_bytes_unchanged():
                     hook = pauli_tamper_hook(position, new_rng(derive_seed(seed, "adversary", position)))
                     h.update(run_session(cfg, adversary_hook=hook).json_lines().encode("utf-8"))
     assert h.hexdigest() == TRANSCRIPTS_DIGEST, f"computed digest {h.hexdigest()}"
+
+
+# one SHA-256 over the transcripts of wrong_key_binding sessions (the arbiter
+# holds an unrelated signing key), for seeds 0-5 in both modes at the defaults
+WRONG_KEY_TRANSCRIPTS_DIGEST = "68eaff787c51f47aa1191d3e73c75463ca89495f6852a45f4cca3db752d36ae8"
+
+
+def test_wrong_key_transcript_bytes_unchanged():
+    h = hashlib.sha256()
+    for seed in range(6):
+        for mode in ("referee", "protocol"):
+            cfg = SessionConfig(mode=mode, seed=seed)
+            parties = setup(cfg)
+            unrelated_signer(parties, cfg, seed)
+            h.update(run_session(cfg, parties=parties).json_lines().encode("utf-8"))
+    assert h.hexdigest() == WRONG_KEY_TRANSCRIPTS_DIGEST, f"computed digest {h.hexdigest()}"
