@@ -72,7 +72,7 @@ def kernel_timings(checkout: Path) -> dict:
     import calib
     import numpy as np
     import qsiglab
-    from qsiglab import attacks
+    from qsiglab import attacks, qsim
     from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
     from qsiglab.clifford import apply_clifford, sample_clifford
     from qsiglab.qsim import new_rng, sample_random_pure
@@ -87,7 +87,9 @@ def kernel_timings(checkout: Path) -> dict:
 
     trial()
     out["session_tamper_t6_minflt"] = _median_ms_minflt(trial, 60)[1]
-    # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps
+    # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps;
+    # a checkout from before qsim.Sampled reads its traps from the bare rng
+    sampled = getattr(qsim, "Sampled", lambda rng: rng)
     for t in (6, 4):
         key = AuthKey(t)
         payload = sample_random_pure(2, 4 + t, new_rng(t))
@@ -96,7 +98,7 @@ def kernel_timings(checkout: Path) -> dict:
             lambda: qauth_encode(payload, key, t), 20
         )
         out[f"qauth_verify_t{t}_ms"], out[f"qauth_verify_t{t}_minflt"] = _median_ms_minflt(
-            lambda: qauth_verify(block, key, t, new_rng(0)), 20
+            lambda: qauth_verify(block, key, t, sampled(new_rng(0))), 20
         )
     # four sampled ops and their inverses, each timed on one random state
     for m, reps in ((10, 20), (12, 10), (16, 5)):

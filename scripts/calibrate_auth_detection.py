@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
-from qsiglab.qsim import apply_gate, new_rng, pauli_gate, sample_random_pure
+from qsiglab.qsim import Sampled, apply_gate, new_rng, pauli_gate, sample_random_pure
 
 
 def measured_rate(p: int, t: int, trials: int, rng) -> float:
@@ -24,7 +24,7 @@ def measured_rate(p: int, t: int, trials: int, rng) -> float:
         payload = sample_random_pure(2, p, rng)
         key = AuthKey(int(rng.integers(0, 2**62)))
         tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
-        accept, _ = qauth_verify(tampered, key, t, rng)
+        accept, _ = qauth_verify(tampered, key, t, Sampled(rng))
         hits += accept
     return hits / trials
 

@@ -109,6 +109,27 @@ MUTANTS = [
         + ("tests/test_qsim.py::test_referee_parity_measure_names_an_outcome_with_weight[p0_likeliest]",),
     ),
     Mutant(
+        "sampled_draw_uncounted",
+        "src/qsiglab/qsim.py",
+        "        self.draws += 1\n        return int(self.rng.choice(len(weights), p=weights / weights.sum()))\n",
+        "        return int(self.rng.choice(len(weights), p=weights / weights.sum()))\n",
+        (
+            "tests/test_report_bytes.py::test_transcript_bytes_unchanged",
+            "tests/test_report_bytes.py::test_wrong_key_transcript_bytes_unchanged",
+            "tests/test_qsim.py::test_sampled_makes_the_rng_calls_it_replaces",
+        ),
+    ),
+    Mutant(
+        "referee_accepts_below_one_minus_tol",
+        "src/qsiglab/qsim.py",
+        "        return p >= 1.0 - TOL\n",
+        "        return p >= 1.0 - 3 * TOL\n",
+        (
+            "tests/test_qsim.py::test_referee_exchange_test_accepts_at_one_minus_tol[3.0000000000000004e-09-1]",
+            "tests/test_qsim.py::test_referee_accepts_from_one_minus_tol",
+        ),
+    ),
+    Mutant(
         "arbiter_referee_draws_from_rng",
         "src/qsiglab/arbitrated.py",
         "    source = outcome_source(arbiter.config.mode, arbiter.rng)\n",
@@ -131,6 +152,13 @@ MUTANTS = [
         "    out = np.empty_like(buf)\n    _scatter(buf, out, op.m, *last)\n",
         "    out = idle\n    _scatter(buf, out, op.m, *last)\n",
         ("tests/test_clifford.py::test_results_never_alias_the_workspace",),
+    ),
+    Mutant(
+        "clifford_trap_weights_off_square",
+        "src/qsiglab/clifford.py",
+        "    np.multiply(sq, sq, out=sq)\n",
+        "    np.power(sq, 2.0000000000000004, out=sq)\n",
+        ("tests/test_clifford.py::test_application_bytes_pinned",),
     ),
 ]
 

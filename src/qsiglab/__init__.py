@@ -10,7 +10,7 @@ from .attacks import Report, Scenario, adversary_catalog, canonical_report_json,
 from .authcrypto import derive_keys, qauth_encode, qauth_verify, qotp, wc_check, wc_tag
 from .clifford import CliffordOp, apply_clifford, sample_clifford
 from .fieldcode import check_mds, decode_bijection, gen_functionals, parity_constraints
-from .qsim import PureState, fidelity, make_state, new_rng
+from .qsim import PureState, Sampled, fidelity, make_state, new_rng
 from .truesig import FourStepVerdict, SignedBundle, TrueSigKeys, forge, keygen, sign, verify
 
 __version__ = "0.1.0"
@@ -21,6 +21,7 @@ __all__ = [
     "PureState",
     "Report",
     "Scenario",
+    "Sampled",
     "SessionConfig",
     "SignedBundle",
     "Transcript",

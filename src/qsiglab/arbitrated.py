@@ -44,6 +44,7 @@ from .qsim import (
     EntangledFactorError,
     GateMatrix,
     PureState,
+    Sampled,
     apply_gate,
     controlled_add_gate,
     derive_seed,
@@ -98,22 +99,6 @@ class SessionConfig:
         regs = 2 * self.n + 2 * self.t  # bob's block, the largest state a session holds
         if 2**regs > MAX_AMPS:
             raise ValueError(f"2n + 2t = {regs} qubits need 2^{regs} amplitudes, over the cap {MAX_AMPS}")
-
-
-class CountingRNG:
-    """Generator proxy that counts draws, so transcripts can log randomness use."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.draws = 0
-
-    def random(self, *args, **kwargs):
-        self.draws += 1
-        return self._rng.random(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        self.draws += 1
-        return self._rng.choice(*args, **kwargs)
 
 
 @dataclass
@@ -301,7 +286,7 @@ def signing_distance(n: int, sig_seed: int) -> float:
 class Party:
     config: SessionConfig
     links: dict[str, LinkKey]
-    rng: CountingRNG
+    rng: Sampled
     macs: dict[str, MacKey]
     signer: GateMatrix | None = None
 
@@ -315,12 +300,13 @@ class SessionParties:
 
 def setup(config: SessionConfig) -> SessionParties:
     """Deal key material: alice-arbiter and bob-arbiter links, nothing between
-    alice and bob. Each party gets its own counted RNG stream. Alice's key is
-    folded once, and she and the arbiter hold the same immutable GateMatrix."""
+    alice and bob. Each party samples outcomes from its own rng stream and
+    counts its draws. Alice's key is folded once, and she and the arbiter
+    hold the same immutable GateMatrix."""
 
     def party(name: str, roles: list[str]) -> Party:
         links = derive_keys(config.seed, roles)
-        rng = CountingRNG(new_rng(derive_seed(config.seed, "party", name)))
+        rng = Sampled(new_rng(derive_seed(config.seed, "party", name)))
         macs = {role: link.mac_key(config.b) for role, link in links.items()}
         return Party(config, links, rng, macs)
 

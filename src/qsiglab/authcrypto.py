@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import CliffordOp, apply_clifford_padded, sample_clifford, undo_clifford_column
-from .qsim import PureState, derive_seed, make_state, new_rng, parity_labels
+from .qsim import PureState, Sampled, derive_seed, make_state, new_rng, parity_labels
 
 MAC_WIDTHS = (16, 32, 64)
 
@@ -231,17 +231,16 @@ def qauth_encode(state: PureState, auth_key: AuthKey, t: int) -> PureState:
     return apply_clifford_padded(state, _auth_clifford(auth_key, state.n + t), t)
 
 
-def _read_traps(weights: np.ndarray, t: int, rng: np.random.Generator) -> int:
+def _read_traps(weights: np.ndarray, t: int, source: Sampled) -> int:
     """Draw trap j from its Born distribution given traps 0..j-1, one
-    rng.choice per trap, from the 2^t column weights; returns the column."""
+    source.draw per trap, from the 2^t column weights; returns the column."""
     col = 0
     for j in range(t):
-        w = weights.reshape(2**j, 2, -1)[col].sum(axis=1)
-        col = 2 * col + int(rng.choice(2, p=w / w.sum()))
+        col = 2 * col + source.draw(weights.reshape(2**j, 2, -1)[col].sum(axis=1))
     return col
 
 
-def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Generator) -> tuple[bool, PureState]:
+def qauth_verify(state: PureState, auth_key: AuthKey, t: int, source: Sampled) -> tuple[bool, PureState]:
     """Unscramble, measure the last t registers as traps, accept iff all read 0.
 
     Returns the payload, the first state.n - t registers after unscrambling,
@@ -250,7 +249,7 @@ def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Gen
 
     The traps are read from the (payload, traps) column weights of the
     unscrambled block: trap j is drawn from its Born distribution given traps
-    0..j-1, one rng.choice per trap, as measuring them one at a time would
+    0..j-1, one source.draw per trap, as measuring them one at a time would
     draw. The last H-free stage of the unscrambling only permutes and phases,
     so the weights are taken before it, and only the kept column goes
     through it.
@@ -260,6 +259,6 @@ def qauth_verify(state: PureState, auth_key: AuthKey, t: int, rng: np.random.Gen
     if t == 0:
         warnings.warn("verifying an authentication block with no traps is vacuous", stacklevel=2)
     op = _auth_clifford(auth_key, state.n)
-    col, payload = undo_clifford_column(state, op, t, lambda weights: _read_traps(weights, t, rng))
+    col, payload = undo_clifford_column(state, op, t, lambda weights: _read_traps(weights, t, source))
     # with no traps the unscrambled block is the payload, already normalized
     return col == 0, make_state(2, state.n - t, payload) if t else PureState(2, state.n, payload)

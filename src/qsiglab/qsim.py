@@ -9,9 +9,10 @@ Conventions, fixed once and relied on everywhere:
     ``a`` the leading registers;
   * measurement outcome 0 is always the accepting outcome;
   * norm and fidelity checks use absolute tolerance ``TOL`` = 1e-9;
-  * every stochastic operation takes an explicit outcome source so trials
-    are replayable: a ``numpy.random.Generator``, or for the measurements the
-    referee, which outcome_source returns for ``mode="referee"``.
+  * every stochastic operation takes an explicit source so trials are
+    replayable: state sampling a ``numpy.random.Generator``, measurements an
+    outcome source asked ``accept(p)`` or ``draw(weights)``: ``Sampled(rng)``,
+    or the referee, which outcome_source returns for ``mode="referee"``.
 
 States are immutable values: operations return new ``PureState`` objects.
 """
@@ -39,30 +40,47 @@ def new_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+class Sampled:
+    """Outcomes drawn from an rng at their Born probabilities, one draw per
+    call; ``draws`` counts them, so transcripts can log randomness use."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.draws = 0
+
+    def accept(self, p: float) -> bool:
+        self.draws += 1
+        return bool(self.rng.random() < p)
+
+    def draw(self, weights: np.ndarray) -> int:
+        self.draws += 1
+        return int(self.rng.choice(len(weights), p=weights / weights.sum()))
+
+
 class _Referee:
-    """The noiseless referee's outcome source, in place of an rng: each test
-    takes its accepting outcome 0 exactly when that outcome's Born probability
-    is at least 1 - TOL, and otherwise its most likely rejecting outcome,
-    which has weight, so it names an outcome the protocol can draw."""
+    """The noiseless referee's outcome source: each test takes its accepting
+    outcome 0 exactly when that outcome's Born probability is at least
+    1 - TOL, and otherwise its most likely rejecting outcome, which has
+    weight, so it names an outcome the protocol can draw."""
 
-    def choice(self, n: int, p: np.ndarray) -> int:
+    def accept(self, p: float) -> bool:
+        return p >= 1.0 - TOL
+
+    def draw(self, weights: np.ndarray) -> int:
+        p = weights / weights.sum()
         return 0 if p[0] >= 1.0 - TOL else int(np.argmax(p[1:])) + 1
-
-    def random(self) -> float:
-        # a test accepts when random() < p, so this accepts exactly when p >= 1 - TOL
-        return float(np.nextafter(1.0 - TOL, 0.0))
 
 
 _REFEREE = _Referee()
 
 
-def outcome_source(mode: str, rng: np.random.Generator | None = None) -> np.random.Generator | _Referee:
-    """Where measurements take their outcomes: rng in "protocol" mode, the referee in "referee"."""
+def outcome_source(mode: str, sampled: Sampled | None = None) -> Sampled | _Referee:
+    """Where measurements take their outcomes: sampled in "protocol" mode, the referee in "referee"."""
     if mode not in ("referee", "protocol"):
         raise ValueError(f"mode must be 'referee' or 'protocol', got {mode!r}")
-    if mode == "protocol" and rng is None:
+    if mode == "protocol" and sampled is None:
         raise ValueError("protocol mode samples measurement outcomes and needs an rng")
-    return rng if mode == "protocol" else _REFEREE
+    return sampled if mode == "protocol" else _REFEREE
 
 
 def derive_seed(*parts: object) -> int:
@@ -258,7 +276,7 @@ def _check_blocks(state: PureState, regs_a: Sequence[int], regs_b: Sequence[int]
 
 
 def symmetric_subspace_measure(
-    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], source: np.random.Generator | _Referee
+    state: PureState, regs_a: Sequence[int], regs_b: Sequence[int], source: Sampled | _Referee
 ) -> MeasurementRecord:
     """Projective measurement onto the exchange-symmetric subspace of two blocks.
 
@@ -273,8 +291,7 @@ def symmetric_subspace_measure(
     swapped = _exchange_swapped(state, regs_a, regs_b)
     overlap = np.vdot(state.amps, swapped).real
     p_acc = float(min(max((1.0 + overlap) / 2.0, 0.0), 1.0))
-    accept = bool(source.random() < p_acc)
-    if accept:
+    if source.accept(p_acc):
         if p_acc >= 1.0 - _EXACT:
             post = state  # already symmetric: unchanged
         else:
@@ -290,7 +307,7 @@ def symmetric_subspace_measure(
 
 
 def parity_measure(
-    state: PureState, coeffs: Sequence[int], targets: Sequence[int], source: np.random.Generator | _Referee
+    state: PureState, coeffs: Sequence[int], targets: Sequence[int], source: Sampled | _Referee
 ) -> MeasurementRecord:
     """Measure sum(coeffs[i] * label(targets[i])) mod d, nondestructively.
 
@@ -299,9 +316,8 @@ def parity_measure(
     sector, so states fully inside one sector are returned unchanged.
     """
     weights = sector_weights(state, coeffs, targets)
-    probs = weights / weights.sum()
-    outcome = int(source.choice(state.d, p=probs))
-    p = float(probs[outcome])
+    outcome = source.draw(weights)
+    p = float(weights[outcome] / weights.sum())
     if p >= 1.0 - _EXACT:
         return MeasurementRecord(outcome, p, state)
     parity = parity_labels(state.d, state.n, coeffs, targets)

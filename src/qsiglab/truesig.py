@@ -35,6 +35,7 @@ from .fieldcode import (
 from .qsim import (
     _EXACT,
     PureState,
+    Sampled,
     apply_classical_bijection,
     extract_factor,
     fidelity,
@@ -161,10 +162,6 @@ def failed_step(verdict: FourStepVerdict) -> str:
     return "step4"
 
 
-def _draw(source, weights: np.ndarray) -> int:
-    return int(source.choice(weights.size, p=weights / weights.sum()))
-
-
 def _pair_grid(state: PureState) -> np.ndarray:
     """Born weight of each label of registers 1.., register 0 (the message) summed out."""
     return (np.abs(state.amps) ** 2).reshape(state.d, -1).sum(axis=0)
@@ -196,7 +193,7 @@ def verify(
     the first failed step.
     """
     vk = keys.verifying if isinstance(keys, TrueSigKeys) else keys
-    source = outcome_source(mode, rng)
+    source = outcome_source(mode, None if rng is None else Sampled(rng))
     d, k = vk.d, vk.k
     for name, ref, n in (("omega_pair", bundle.omega_pair, 2), ("p_copy", bundle.p_copy, 1)):
         if (ref.d, ref.n) != (d, n):
@@ -218,7 +215,7 @@ def verify(
     syndrome: list[int] = []
     for row in labels:
         weights = np.bincount(row, weights=grid, minlength=d)
-        syndrome.append(_draw(source, weights))
+        syndrome.append(source.draw(weights))
         if syndrome[-1] != 0:
             return fail(syndrome)
         if weights[0] / weights.sum() < 1.0 - _EXACT:  # an uncertain outcome: project onto it
@@ -233,13 +230,13 @@ def verify(
     a_minus_b = ((np.arange(d)[:, None] - np.arange(d)) % d).reshape(-1)
     for j in range(k - 1, 0, -1):
         ab = grid.reshape(d, d ** (j - 1), d, d ** (j - 1)).sum(axis=(1, 3))  # the pair's (a, b) weights
-        if _draw(source, np.bincount(a_minus_b, weights=ab.reshape(-1), minlength=d)) != 0:
+        if source.draw(np.bincount(a_minus_b, weights=ab.reshape(-1), minlength=d)) != 0:
             return fail(syndrome, s2=True)
         # after a - b = 0 only the a = b diagonal is left; F on it gives the
         # amplitudes of the conjugate-basis sectors a + b = s, row s
         diag = np.diagonal(cur.amps.reshape(d, d, d ** (j - 1), d, d ** (j - 1)), axis1=1, axis2=3)
         conj = ff @ np.moveaxis(diag, -1, 0).reshape(d, -1)
-        if _draw(source, np.sum(np.abs(conj) ** 2, axis=1)) != 0:
+        if source.draw(np.sum(np.abs(conj) ** 2, axis=1)) != 0:
             return fail(syndrome, s2=True)
         cur = make_state(d, 2 * j - 1, conj[0])  # row 0 of F sums the diagonal: <Omega|_pair cur
         grid = _pair_grid(cur)
@@ -247,7 +244,7 @@ def verify(
     # step 4: decoded message vs plaintext copy, the reference pair vs shipped pair
     p_swap = (1.0 + fidelity(cur, bundle.p_copy)) / 2.0
     p_pair = (1.0 + fidelity(canonical_omega(d), bundle.omega_pair)) / 2.0
-    ok4 = bool(source.random() < p_swap and source.random() < p_pair)
+    ok4 = source.accept(p_swap) and source.accept(p_pair)
     return FourStepVerdict(tuple(syndrome), True, True, ok4, ok4, mode)
 
 

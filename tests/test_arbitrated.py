@@ -14,7 +14,6 @@ from qsiglab.arbitrated import (
     PHASE_SIGMA,
     PHASE_T_REPLY,
     PHASE_Y,
-    CountingRNG,
     ProtocolMessage,
     SessionConfig,
     alice_sign,
@@ -60,13 +59,6 @@ def test_config_defaults():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SessionConfig(**kwargs)
-
-
-def test_counting_rng_counts():
-    rng = CountingRNG(new_rng(0))
-    rng.random()
-    rng.choice(3)
-    assert rng.draws == 2
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from qsiglab.authcrypto import (
     wc_check,
     wc_tag,
 )
-from qsiglab.arbitrated import CountingRNG
 from qsiglab.clifford import apply_clifford, sample_clifford
 from qsiglab.qsim import (
     GateMatrix,
+    Sampled,
     apply_gate,
     fidelity,
     hadamard_gate,
@@ -298,7 +298,7 @@ def test_qauth_round_trip():
     key = AuthKey(12345)
     block = qauth_encode(payload, key, t=4)
     assert block.n == 6
-    accept, recovered = qauth_verify(block, key, 4, rng)
+    accept, recovered = qauth_verify(block, key, 4, Sampled(rng))
     assert accept
     assert fidelity(recovered, payload) > 1 - 1e-9
 
@@ -323,7 +323,7 @@ def test_rejected_block_still_returns_payload():
     key = AuthKey(2222)
     # a block whose second trap reads 1 once the key's Clifford is undone
     flipped = apply_clifford(tensor(payload, basis_state(2, 2, [0, 1])), _scrambler(key, 4))
-    accept, recovered = qauth_verify(flipped, key, 2, rng)
+    accept, recovered = qauth_verify(flipped, key, 2, Sampled(rng))
     assert not accept
     assert fidelity(recovered, payload) > 1 - 1e-9
 
@@ -355,12 +355,12 @@ def test_one_pass_readout_matches_trap_by_trap_reference(kind, n, t):
             q = seed % (n + t)
             block = qauth_encode(sample_random_pure(2, n, src), key, t)
             block = apply_gate(apply_gate(block, hadamard_gate(), [q]), phase_eighth_gate(1), [q])
-        ours, ref = CountingRNG(new_rng(100 + seed)), CountingRNG(new_rng(100 + seed))
+        ours, ref = Sampled(new_rng(100 + seed)), Sampled(new_rng(100 + seed))
         accept, payload = qauth_verify(block, key, t, ours)
         ref_accept, ref_payload = _reference_verify(block, key, t, ref)
         assert accept == ref_accept
         assert ours.draws == ref.draws == t
-        assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
         assert np.abs(payload.amps - ref_payload.amps).max() < 1e-12
 
 
@@ -433,7 +433,7 @@ def test_verify_matches_full_block_path(kind, n, t):
             if kind == "pauli":
                 block = _pauli_tampered(block, src)
         ours, ref = new_rng(200 + seed), new_rng(200 + seed)
-        accept, recovered = qauth_verify(block, key, t, ours)
+        accept, recovered = qauth_verify(block, key, t, Sampled(ours))
         ref_accept, ref_recovered = _full_path_verify(block, key, t, ref)
         assert (accept, state_digest(recovered)) == (ref_accept, state_digest(ref_recovered))
         assert ours.bit_generator.state == ref.bit_generator.state
@@ -446,7 +446,7 @@ def test_trap_free_verify_matches_full_block_path():
     # against the gate-by-gate reference
     block = sample_random_pure(2, 5, new_rng(27))
     with pytest.warns(UserWarning):
-        accept, recovered = qauth_verify(block, AuthKey(3), 0, new_rng(0))
+        accept, recovered = qauth_verify(block, AuthKey(3), 0, Sampled(new_rng(0)))
     assert accept
     reference = _reference_apply(block, _scrambler(AuthKey(3), 5).inverse().gates)
     assert np.abs(recovered.amps - reference.amps).max() < 1e-12
@@ -462,7 +462,7 @@ def test_trap_count_zero_warns():
     with pytest.warns(UserWarning):
         block = qauth_encode(payload, AuthKey(1), t=0)
     with pytest.warns(UserWarning):
-        accept, _ = qauth_verify(block, AuthKey(1), 0, new_rng(0))
+        accept, _ = qauth_verify(block, AuthKey(1), 0, Sampled(new_rng(0)))
     assert accept
 
 
@@ -471,7 +471,7 @@ def test_block_shape_mismatch_rejected():
     block = sample_random_pure(2, 3, new_rng(23))
     for t in (3, 4, -1):
         with pytest.raises(ValueError):
-            qauth_verify(block, AuthKey(1), t, new_rng(0))
+            qauth_verify(block, AuthKey(1), t, Sampled(new_rng(0)))
 
 
 def test_qauth_requires_qubits():
@@ -493,7 +493,7 @@ def test_fixed_pauli_detection_rate():
         payload = sample_random_pure(2, n, rng)
         key = AuthKey(int(rng.integers(0, 2**62)))
         tampered = apply_gate(qauth_encode(payload, key, t=t), x, [0])
-        accept, _ = qauth_verify(tampered, key, t, rng)
+        accept, _ = qauth_verify(tampered, key, t, Sampled(rng))
         hits += accept
     sigma = np.sqrt(p_accept * (1 - p_accept) / trials)
     assert abs(hits / trials - p_accept) < 4 * sigma + 1e-3
@@ -505,7 +505,7 @@ def test_wrong_key_rarely_accepts():
     block = qauth_encode(payload, AuthKey(111), t=6)
     hits = 0
     for i in range(50):
-        accept, _ = qauth_verify(block, AuthKey(5000 + i), 6, rng)
+        accept, _ = qauth_verify(block, AuthKey(5000 + i), 6, Sampled(rng))
         hits += accept
     assert hits <= 5  # chance level 2^-6 per trial
 

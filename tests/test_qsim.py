@@ -14,6 +14,7 @@ from qsiglab.qsim import (
     MAX_AMPS,
     TOL,
     PureState,
+    Sampled,
     apply_classical_bijection,
     apply_gate,
     controlled_add_gate,
@@ -230,7 +231,7 @@ def test_symmetric_measure_accept_probability_matches_overlap():
     phi = make_state(2, 1, [np.sqrt(0.3), np.sqrt(0.7)])
     joint = tensor(psi, phi)
     for seed in range(8):
-        rec = symmetric_subspace_measure(joint, [0], [1], new_rng(seed))
+        rec = symmetric_subspace_measure(joint, [0], [1], Sampled(new_rng(seed)))
         p_accept = rec.probability if rec.outcome == 0 else 1.0 - rec.probability
         assert abs(p_accept - (1 + 0.3) / 2) < 1e-12
 
@@ -239,13 +240,13 @@ def test_symmetric_measure_identical_blocks_accept_and_unchanged():
     rng = new_rng(11)
     psi = sample_random_pure(2, 2, rng)
     joint = tensor(psi, psi)
-    rec = symmetric_subspace_measure(joint, [0, 1], [2, 3], rng)
+    rec = symmetric_subspace_measure(joint, [0, 1], [2, 3], Sampled(rng))
     assert rec.outcome == 0 and abs(rec.probability - 1.0) < 1e-12
     assert rec.post_state is joint  # exactly symmetric: returned untouched
 
 
 def test_symmetric_measure_statistics_and_post_states():
-    rng = new_rng(5)
+    rng = Sampled(new_rng(5))
     psi = make_state(2, 1, [1, 0])
     phi = make_state(2, 1, [0, 1])  # orthogonal: accept prob 1/2
     joint = tensor(psi, phi)
@@ -272,7 +273,7 @@ def test_parity_labels_match_digit_sums(d, n, data):
 
 
 def test_parity_measure_sector_and_post_state():
-    rng = new_rng(2)
+    rng = Sampled(new_rng(2))
     st_ = make_state(3, 2, [1, 0, 0, 0, 1, 0, 0, 0, 1])  # the maximally correlated pair
     rec = parity_measure(st_, [1, 2], [0, 1], rng)  # a + 2b mod 3 = 0 on |00>,|11>,|22> iff a=b... 0: 0, 1+2=3=0, 2+4=6=0
     assert rec.outcome == 0 and abs(rec.probability - 1.0) < 1e-12
@@ -280,7 +281,7 @@ def test_parity_measure_sector_and_post_state():
 
 
 def test_parity_measure_collapses_mixed_sectors():
-    rng = new_rng(9)
+    rng = Sampled(new_rng(9))
     st_ = make_state(2, 2, [1, 1, 0, 0])  # parities (reg0+reg1): 0 and 1, equal weight
     counts = {0: 0, 1: 0}
     for _ in range(300):
@@ -294,7 +295,7 @@ def test_parity_measure_collapses_mixed_sectors():
 
 def test_parity_measure_validates_coeffs():
     with pytest.raises(ValueError):
-        parity_measure(basis_state(2, 2, [0, 0]), [1], [0, 1], new_rng(0))
+        parity_measure(basis_state(2, 2, [0, 0]), [1], [0, 1], Sampled(new_rng(0)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -306,24 +307,52 @@ def test_parity_outcome_probabilities_sum_to_one(seed):
     parity = [(int(a) + int(b)) % d for a in range(d) for b in range(d)]
     weights = np.bincount(parity, weights=np.abs(st_.amps) ** 2, minlength=d)
     assert abs(weights.sum() - 1.0) < 1e-9
-    rec = parity_measure(st_, [1, 1], [0, 1], rng)
+    rec = parity_measure(st_, [1, 1], [0, 1], Sampled(rng))
     assert abs(rec.probability - weights[rec.outcome]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# the referee as the measurements' outcome source
+# outcome sources: sampled from an rng, or the referee
 
 REFEREE = outcome_source("referee")
 
 
 def test_outcome_source_by_mode():
-    rng = new_rng(0)
-    assert outcome_source("protocol", rng) is rng
-    assert outcome_source("referee", rng) is REFEREE
+    sampled = Sampled(new_rng(0))
+    assert outcome_source("protocol", sampled) is sampled
+    assert outcome_source("referee", sampled) is REFEREE
     with pytest.raises(ValueError, match="needs an rng"):
         outcome_source("protocol")
     with pytest.raises(ValueError, match="mode must be"):
-        outcome_source("exact", rng)
+        outcome_source("exact", sampled)
+
+
+def test_sampled_makes_the_rng_calls_it_replaces():
+    # accept(p) is random() < p and draw(w) is choice(len(w), p=w / sum(w)):
+    # the generator moves as the replayed calls move it, one draw per call
+    sampled, replay = Sampled(new_rng(3)), new_rng(3)
+    weights = np.array([0.5, 0.0, 1.5, 2.0])
+    for p in (0.0, 0.3, 0.7, 1.0):
+        assert sampled.accept(p) == (replay.random() < p)
+        assert sampled.draw(weights) == replay.choice(4, p=weights / weights.sum())
+    assert sampled.draws == 8
+    assert sampled.rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_referee_accepts_from_one_minus_tol():
+    assert REFEREE.accept(1.0 - TOL) and REFEREE.accept(1.0)
+    assert not REFEREE.accept(float(np.nextafter(1.0 - TOL, 0.0)))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 7.0])
+def test_draw_normalises_weights(scale):
+    # both sources read weights relative to their sum: the referee names the
+    # same outcome at every scale, and a sampled draw lands only on outcomes
+    # that have weight
+    for w, outcome in (([1 - TOL / 2, TOL / 2, 0], 0), ([1 - 2 * TOL, 0, 2 * TOL], 2), ([0.2, 0.5, 0.3], 1)):
+        assert REFEREE.draw(np.array(w) * scale) == outcome
+    sampled = Sampled(new_rng(4))
+    assert {sampled.draw(np.array([0.0, 2.0, 0.0, 6.0]) * scale) for _ in range(40)} == {1, 3}
 
 
 @pytest.mark.parametrize("infidelity, outcome", [(TOL, 0), (3 * TOL, 1)])

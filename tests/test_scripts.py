@@ -1,5 +1,7 @@
 """Smoke runs of the calibration, table, bench-record and mutant scripts at
-tiny sizes, and the benchmark tracer's bindings."""
+tiny sizes, the mutant list against the tree, and the benchmark tracer's
+bindings."""
+import ast
 import importlib
 import json
 import os
@@ -67,6 +69,21 @@ def test_mutant_is_killed():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "truesig_p_pair_ignores_shipped_pair: killed\n"
+
+
+def test_mutants_are_current(monkeypatch):
+    # a mutant whose text moved, or whose test was renamed, fails only a
+    # manual run of the script; this reads the list and runs no mutant
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from mutants import MUTANTS
+
+    for m in MUTANTS:
+        assert (ROOT / m.file).read_text().count(m.old) == 1, m.name
+        for test_id in m.tests:
+            path, *_, name = test_id.split("::")
+            tree = ast.parse((ROOT / path).read_text())
+            defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            assert name.split("[")[0] in defined, f"{m.name}: {test_id}"
 
 
 def test_tracer_names_resolve(monkeypatch):

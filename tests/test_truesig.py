@@ -8,6 +8,7 @@ import pytest
 from qsiglab.qsim import (
     TOL,
     GateMatrix,
+    Sampled,
     apply_classical_bijection,
     apply_gate,
     extract_factor,
@@ -284,7 +285,7 @@ class _Postselected:
         return next(self.draws)
 
 
-def _reference_steps_1_to_3(keys, bundle, rng):
+def _reference_steps_1_to_3(keys, bundle, source):
     """Protocol-mode steps 1 to 3 composed from qsim's generic measurements,
     with no register contracted away: the syndrome, then each pair's a - b
     test and its a + b test between F (x) F and its inverse. Returns the
@@ -293,7 +294,7 @@ def _reference_steps_1_to_3(keys, bundle, rng):
     d, k = vk.d, vk.k
     cur, syndrome = bundle.s_state, []
     for c in vk.constraints.vectors:
-        rec = parity_measure(cur, [int(v) for v in c], list(range(2 * k - 1)), rng)
+        rec = parity_measure(cur, [int(v) for v in c], list(range(2 * k - 1)), source)
         cur = rec.post_state
         syndrome.append(rec.outcome)
         if rec.outcome != 0:
@@ -301,35 +302,36 @@ def _reference_steps_1_to_3(keys, bundle, rng):
     cur = decode(vk, cur)
     ff = fourier_gate(d)
     for a, b in [(i, k - 1 + i) for i in range(1, k)]:
-        rec = parity_measure(cur, [1, d - 1], [a, b], rng)
+        rec = parity_measure(cur, [1, d - 1], [a, b], source)
         if rec.outcome != 0:
             return syndrome, True, False, rec.post_state
         cur = apply_gate(apply_gate(rec.post_state, ff, [a]), ff, [b])
-        rec = parity_measure(cur, [1, 1], [a, b], rng)
+        rec = parity_measure(cur, [1, 1], [a, b], source)
         if rec.outcome != 0:
             return syndrome, True, False, rec.post_state
         cur = apply_gate(apply_gate(rec.post_state, ff.dagger(), [a]), ff.dagger(), [b])
     return syndrome, True, True, cur
 
 
-def _joint_step4(cur, k, bundle, rng):
+def _joint_step4(cur, k, bundle, source):
     """Step 4 on the joint state cur (x) copy: the swap test, then the shipped
     pair's weight in the reduced state of the post-state on the first pair.
     Returns the verdict and the two accept probabilities (the second is None
     when the swap test rejects)."""
-    rec = symmetric_subspace_measure(tensor(cur, bundle.p_copy), [0], [2 * k - 1], rng)
+    rec = symmetric_subspace_measure(tensor(cur, bundle.p_copy), [0], [2 * k - 1], source)
     if rec.outcome != 0:
         return False, 1.0 - rec.probability, None
     rho = reduced_density(rec.post_state, [1, k])
     ref = np.outer(bundle.omega_pair.amps, bundle.omega_pair.amps.conj())
     p_pair = min(max((1.0 + float(np.trace(rho @ ref).real)) / 2.0, 0.0), 1.0)
-    return bool(rng.random() < p_pair), rec.probability, p_pair
+    return source.accept(p_pair), rec.probability, p_pair
 
 
 def _reference_verify(keys, bundle, rng):
     """Protocol-mode verify composed from the two references above."""
-    syndrome, s2, s3, cur = _reference_steps_1_to_3(keys, bundle, rng)
-    ok = s3 and _joint_step4(cur, keys.verifying.k, bundle, rng)[0]
+    source = Sampled(rng)
+    syndrome, s2, s3, cur = _reference_steps_1_to_3(keys, bundle, source)
+    ok = s3 and _joint_step4(cur, keys.verifying.k, bundle, source)[0]
     return FourStepVerdict(tuple(syndrome), s2, s3, ok, ok, "protocol")
 
 
@@ -406,10 +408,10 @@ def test_step4_probabilities_match_joint_state(d, k):
     keys, bundles = _bundle_kinds(d, k)
     reached = set()
     for name, bundle in bundles.items():
-        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, _Postselected(iter([])))
+        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, Sampled(_Postselected(iter([]))))
         if not s3:
             continue
-        _, p_swap, p_pair = _joint_step4(cur, k, bundle, _Postselected(iter([0.0, 0.0])))
+        _, p_swap, p_pair = _joint_step4(cur, k, bundle, Sampled(_Postselected(iter([0.0, 0.0]))))
         step4 = lambda *draws: verify(keys, bundle, "protocol", rng=_Postselected(iter(draws))).step4_equality
         assert step4(p_swap - 1e-12, 0.0) and not step4(p_swap + 1e-12, 0.0), name
         assert step4(0.0, p_pair - 1e-12) and not step4(0.0, p_pair + 1e-12), name
@@ -423,14 +425,14 @@ def test_step4_verdicts_and_draws_match_joint_state(d, k):
     keys, bundles = _bundle_kinds(d, k)
     outcomes = set()
     for name, bundle in bundles.items():
-        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, _Postselected(iter([])))
+        _, _, s3, cur = _reference_steps_1_to_3(keys, bundle, Sampled(_Postselected(iter([]))))
         for seed in range(6):
             rng, replay = new_rng(seed), new_rng(seed)
             verdict = verify(keys, bundle, "protocol", rng=_Postselected(iter(rng.random, None)))
             if not s3:
                 assert failed_step(verdict) in ("step1", "step3"), name
                 continue
-            ok4, _, p_pair = _joint_step4(cur, k, bundle, replay)
+            ok4, _, p_pair = _joint_step4(cur, k, bundle, Sampled(replay))
             assert verdict.step4_equality == verdict.overall == ok4, (name, seed)
             assert replay.bit_generator.state == rng.bit_generator.state, (name, seed)
             outcomes.add((name, p_pair is not None, ok4))
