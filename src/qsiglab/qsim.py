@@ -85,7 +85,7 @@ def outcome_source(mode: str, sampled: Sampled | None = None) -> Sampled | _Refe
 
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from a path of labels, for per-trial/per-party streams."""
-    text = ":".join(str(p) for p in parts)
+    text = ":".join(map(str, parts))
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
