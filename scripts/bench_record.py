@@ -9,11 +9,12 @@ versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
 faults of one warm ``session_tamper_t6`` trial, one trap encode, one trap
-verify and one protocol-mode truesig verify. The trials run first, right
-after calibration, and the trap kernels next, so no fault figure depends on
-the application kernels. The benchmark and the kernels run as subprocesses
-on the checkout's own ``src/`` and ``qsigbench/``, so one copy of this
-script records any checkout. A full record takes about five minutes on a
+verify and one protocol-mode truesig verify, and the µs of one ``wc_check``
+at each MAC width. The trials run first, right after calibration, and the
+trap kernels next, so no fault figure depends on the application kernels.
+The benchmark and the kernels run as subprocesses on the checkout's own
+``src/`` and ``qsigbench/``, so one copy of this script records any
+checkout. A full record takes about five minutes on a
 2-core machine.
 
 ``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
@@ -73,7 +74,7 @@ def kernel_timings(checkout: Path) -> dict:
     import numpy as np
     import qsiglab
     from qsiglab import attacks, qsim
-    from qsiglab.authcrypto import AuthKey, qauth_encode, qauth_verify
+    from qsiglab.authcrypto import AuthKey, MacKey, MacTag, qauth_encode, qauth_verify, wc_check
     from qsiglab.clifford import apply_clifford, sample_clifford
     from qsiglab.qsim import new_rng, sample_random_pure
     from workloads import WORKLOADS, op_seed
@@ -115,6 +116,13 @@ def kernel_timings(checkout: Path) -> dict:
     out["truesig_verify_d7k3_ms"], out["truesig_verify_d7k3_minflt"] = _median_ms_minflt(
         lambda: qsiglab.verify(keys, bundle, "protocol", rng=rng), 50
     )
+    # one wc_check of a 24-byte message, mac_forgery's size, at each tag width; µs per call,
+    # from the median of 31 runs of 100 calls
+    message = bytes(range(24))
+    for b in (16, 32, 64):
+        key, tag = MacKey(b, 22), MacTag(0, b, 0)
+        wc_check(key, message, tag)
+        out[f"wc_check_b{b}_us"] = _median_ms(lambda: [wc_check(key, message, tag) for _ in range(100)], 31) * 10
     return out
 
 

@@ -160,6 +160,17 @@ MUTANTS = [
         "    np.power(sq, 2.0000000000000004, out=sq)\n",
         ("tests/test_clifford.py::test_application_bytes_pinned",),
     ),
+    Mutant(
+        "mac_hash_drops_the_zero_guard",
+        "src/qsiglab/authcrypto.py",
+        "        h = (exp[log[h] + lp] if h else 0) ^ blk\n",
+        "        h = exp[log[h] + lp] ^ blk\n",
+        (
+            "tests/test_authcrypto.py::test_wc_hash_matches_gf_mul_horner[16]",
+            "tests/test_authcrypto.py::test_tag_of_zero_message_is_the_pad",
+            "tests/test_authcrypto.py::test_wc_hash_passes_through_zero",
+        ),
+    ),
 ]
 
 _COPIED = ("src", "tests", "scripts", "qsigbench")

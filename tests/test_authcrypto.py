@@ -13,6 +13,8 @@ from qsiglab.authcrypto import (
     AuthKey,
     MacKey,
     PadReuseError,
+    _gf16_tables,
+    _wc_hash,
     derive_keys,
     gf_mul,
     qauth_encode,
@@ -178,6 +180,52 @@ def test_hash_matches_hand_horner():
     expected = gf_mul(gf_mul(b1, r, 16) ^ b2, r, 16)
     tag = wc_tag(key, msg, 0)
     assert tag.value ^ key.pad(0) == expected
+
+
+def _horner(key: MacKey, message: bytes) -> int:
+    # the hash as defined: big-endian blocks, zero padding, Horner over gf_mul
+    nbytes = key.width // 8
+    padded = message + b"\x00" * (-len(message) % nbytes)
+    h = 0
+    for i in range(0, len(padded), nbytes):
+        h = gf_mul(h, key.point, key.width) ^ int.from_bytes(padded[i : i + nbytes], "big")
+    return gf_mul(h, key.point, key.width)
+
+
+@pytest.mark.parametrize("width", MAC_WIDTHS)
+@given(seed=st.integers(0, 2**64 - 1), message=st.binary(max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_wc_hash_matches_gf_mul_horner(width, seed, message):
+    key = MacKey(width, seed)
+    assert _wc_hash(key, message) == _horner(key, message)
+    assert wc_tag(key, message, 0).value == _horner(key, message) ^ key.pad(0)
+
+
+def test_wc_hash_at_point_zero():
+    key = MacKey(16, 71)
+    key.point = 0
+    assert _wc_hash(key, b"\x12\x34\x56") == 0
+
+
+def test_wc_hash_passes_through_zero():
+    # the second block cancels the first, so the running hash is 0 before the third
+    key = MacKey(16, 71)
+    blocks = (0x1234, gf_mul(0x1234, key.point, 16), 0xBEEF)
+    message = b"".join(b.to_bytes(2, "big") for b in blocks)
+    assert _wc_hash(key, message) == _horner(key, message) == gf_mul(0xBEEF, key.point, 16)
+
+
+def test_gf16_tables():
+    exp, log = _gf16_tables()
+    order = (1 << 16) - 1
+    assert len(exp) == 2 * order and len(log) == 1 << 16
+    assert exp.readonly and log.readonly
+    assert type(exp[1]) is int and type(log[1]) is int  # tag values go into JSON
+    # exp[i] = (x + 1)^i, and x + 1 has order 65 535: no value repeats within a period
+    assert all(exp[i + 1] == gf_mul(exp[i], 3, 16) for i in range(2 * order - 1))
+    assert exp[0] == exp[order] == 1
+    assert len(set(exp[:order])) == order
+    assert all(exp[log[a]] == a for a in range(1, 1 << 16))
 
 
 def test_pad_reuse_raises():

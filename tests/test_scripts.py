@@ -45,6 +45,8 @@ def test_script_runs(script, args):
         assert "session_tamper_t6_minflt" in kernels
         assert kernels["truesig_verify_d7k3_ms"] > 0
         assert "truesig_verify_d7k3_minflt" in kernels
+        for b in (16, 32, 64):
+            assert kernels[f"wc_check_b{b}_us"] > 0
 
 
 def test_bench_record_label_needs_out():
