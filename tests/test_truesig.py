@@ -1,13 +1,17 @@
 """Signature scheme tests: encoding oracle, verification, and the forgery path."""
 import dataclasses
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from qsiglab.qsim import (
     TOL,
+    EntangledFactorError,
     GateMatrix,
+    PureState,
     Sampled,
     apply_classical_bijection,
     apply_gate,
@@ -556,3 +560,38 @@ def test_forge_replaces_only_the_message():
     decoded = decode(keys.verifying, forged.s_state)
     msg, _ = extract_factor(decoded, [0])
     assert fidelity(msg, make_state(7, 1, psi_prime)) > 1 - 1e-9
+
+
+def test_forge_refuses_a_message_entangled_with_a_pair():
+    # the decoded message register of this state is entangled with the first
+    # residual pair, so there is no message factor to replace
+    keys, bundle, psi = _bundle(5, 2, 73)
+    decoded = decode(keys, bundle.s_state)
+    entangled = make_state(5, 3, decoded.amps + apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2]).amps)
+    signed = apply_classical_bijection(entangled, keys.verifying.decode.inverted(), [0, 1])
+    with pytest.raises(EntangledFactorError):
+        forge(keys.verifying, dataclasses.replace(bundle, s_state=signed), psi, make_state(5, 1, psi))
+
+
+# one SHA-256 over, for each case, the forged signed state, the factor and rest
+# that the forged state decodes to, the protocol verdict on it, and one draw of
+# the rng after that verdict
+_FORGERY_BYTES_DIGEST = "17a53d8e4ea6882e055ce7a649d65e5accf60fe31f82f1b9231941db77bf258d"
+_FORGERY_CASES = [(5, 2), (7, 2), (7, 3), (11, 2), (11, 3)]
+
+
+def test_forgery_bytes_unchanged():
+    h = hashlib.sha256()
+    for d, k in _FORGERY_CASES:
+        for seed in range(20):
+            keys, rng = keygen(d, k, seed), new_rng(seed)
+            psi, psi_prime = sample_random_pure(d, 1, rng), sample_random_pure(d, 1, rng)
+            bundle = sign(keys, psi.amps, PureState(d, 1, psi.amps))
+            forged = forge(keys.verifying, bundle, psi_prime.amps, PureState(d, 1, psi_prime.amps))
+            factor, rest = extract_factor(decode(keys.verifying, forged.s_state), [0])
+            verdict = verify(keys, forged, "protocol", rng=rng)
+            for amps in (forged.s_state.amps, factor.amps, rest.amps):
+                h.update(amps.tobytes())
+            h.update(repr(verdict).encode())
+            h.update(struct.pack("<d", rng.random()))
+    assert h.hexdigest() == _FORGERY_BYTES_DIGEST, h.hexdigest()
