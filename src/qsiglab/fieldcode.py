@@ -33,33 +33,38 @@ def is_prime(d: int) -> bool:
     return True
 
 
-def mod_rref(mat: np.ndarray, d: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod prime d; returns (rref, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % d
-    rows, cols = a.shape
+def mod_rref(mat, d: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod prime d; returns (rref rows, pivot columns).
+
+    The elimination runs on Python int lists: the systems here are at most
+    k x 2k, where per-element numpy calls cost more than the arithmetic."""
+    a = (np.array(mat, dtype=np.int64) % d).tolist()
+    rows, cols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        pivot = next((i for i in range(r, rows) if a[i, c] % d != 0), None)
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, d) % d
+        a[r], a[pivot] = a[pivot], a[r]
+        scale = pow(a[r][c], -1, d)
+        a[r] = [v * scale % d for v in a[r]]
         for i in range(rows):
-            if i != r and a[i, c] % d != 0:
-                a[i] = (a[i] - a[i, c] * a[r]) % d
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [(v - f * w) % d for v, w in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return a % d, pivots
+    return a, pivots
 
 
-def mod_rank(mat: np.ndarray, d: int) -> int:
+def mod_rank(mat, d: int) -> int:
     return len(mod_rref(mat, d)[1])
 
 
-def mod_inv_matrix(mat: np.ndarray, d: int) -> np.ndarray:
+def mod_inv_matrix(mat, d: int) -> np.ndarray:
     """Inverse of a square matrix mod prime d; raises on singular input."""
     a = np.array(mat, dtype=np.int64) % d
     k = a.shape[0]
@@ -69,21 +74,20 @@ def mod_inv_matrix(mat: np.ndarray, d: int) -> np.ndarray:
     rref, pivots = mod_rref(aug, d)
     if pivots[:k] != list(range(k)):
         raise ValueError("matrix is singular mod d")
-    return rref[:, k:]
+    return np.array([row[k:] for row in rref], dtype=np.int64)
 
 
-def mod_nullspace(mat: np.ndarray, d: int) -> np.ndarray:
+def mod_nullspace(mat, d: int) -> np.ndarray:
     """Basis (rows) of the nullspace {v : mat @ v = 0 mod d}."""
-    a = np.array(mat, dtype=np.int64) % d
-    _, cols = a.shape
-    rref, pivots = mod_rref(a, d)
+    cols = np.shape(mat)[1]
+    rref, pivots = mod_rref(mat, d)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
+        v = [0] * cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r, fc]) % d
+            v[pc] = -rref[r][fc] % d
         basis.append(v)
     return np.array(basis, dtype=np.int64).reshape(len(free), cols)
 
@@ -125,12 +129,27 @@ class FunctionalMatrix:
 
 @dataclass(frozen=True)
 class TableBijection:
-    """Bijection on Z_d^m backed by precomputed flat-index lookup tables."""
+    """Bijection on Z_d^m backed by precomputed flat-index lookup tables.
+
+    Construction checks that the two tables invert each other over all d^m
+    labels and stores read-only int64 copies, so a built instance is a
+    bijection and its users need not check again.
+    """
 
     d: int
     m: int
     forward_table: np.ndarray
     inverse_table: np.ndarray
+
+    def __post_init__(self) -> None:
+        fwd = np.array(self.forward_table, dtype=np.int64)
+        inv = np.array(self.inverse_table, dtype=np.int64)
+        order = np.arange(self.d**self.m)
+        if not (np.array_equal(fwd[inv], order) and np.array_equal(inv[fwd], order)):
+            raise ValueError("supplied map is not a bijection (forward/inverse mismatch)")
+        for name, table in (("forward_table", fwd), ("inverse_table", inv)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 @dataclass(frozen=True)
@@ -209,7 +228,7 @@ def decode_bijection(fm: FunctionalMatrix, in_subset) -> DecodeBijection:
     ``in_subset``: k distinct row indices in 1..2k-1 (index 0 excluded; its
     coordinate IS x_0, which occupies the first output slot). Lookup tables
     cover all d^k points; forward and inverse are checked to compose to the
-    identity at build time.
+    identity at build time, by TableBijection.
     """
     d, k = fm.d, fm.k
     subset = tuple(sorted(int(i) for i in in_subset))
@@ -229,11 +248,7 @@ def decode_bijection(fm: FunctionalMatrix, in_subset) -> DecodeBijection:
     out = np.concatenate([x_all[:1], fm.rows[list(out_rows)] @ x_all % d])
     forward = np.ravel_multi_index(out, (d,) * k)
     inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(d**k)
-    if len(np.unique(forward)) != d**k:
-        raise ValueError("internal fault: decode map not bijective")
-    forward.flags.writeable = False
-    inverse.flags.writeable = False
+    inverse[forward] = np.arange(d**k)  # TableBijection checks that this inverts forward
     return DecodeBijection(d, k, forward, inverse, in_subset=subset, out_indices=out_rows)
 
 

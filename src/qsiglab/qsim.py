@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .fieldcode import TableBijection
+
 TOL = 1e-9
 # Collapse-to-identity threshold for "the state already lies in the measured
 # sector": two orders tighter than TOL so honest paths return inputs unchanged.
@@ -208,22 +210,21 @@ def apply_gate(state: PureState, gate: GateMatrix, targets: Sequence[int]) -> Pu
     return PureState(state.d, state.n, _back(out, targets, state.d, state.n))
 
 
-def apply_classical_bijection(state: PureState, f, targets: Sequence[int]) -> PureState:
+def apply_classical_bijection(state: PureState, f: TableBijection, targets: Sequence[int]) -> PureState:
     """Move the amplitude of basis label v on the targets to label f(v).
 
-    ``f`` carries ``forward_table`` and ``inverse_table``: index arrays of
-    length d^m (m = number of targets) over the big-endian flat encoding of
-    the target labels. Bijectivity is checked on every call; the permutation
-    is never materialized as a d^m x d^m matrix.
+    ``f`` is a TableBijection on m = len(targets) registers: its tables index
+    the big-endian flat encoding of the target labels, and its construction
+    checked that they invert each other. The permutation is never
+    materialized as a d^m x d^m matrix.
     """
     targets = list(targets)
     _check_targets(state, targets)
-    fwd = np.asarray(f.forward_table, dtype=np.int64)
-    inv = np.asarray(f.inverse_table, dtype=np.int64)
-    order = np.arange(state.d ** len(targets))
-    if not (np.array_equal(fwd[inv], order) and np.array_equal(inv[fwd], order)):
-        raise ValueError("supplied map is not a bijection (forward/inverse mismatch)")
-    out = _front(state, targets)[inv]  # new label w receives the amplitude of f^{-1}(w)
+    if not isinstance(f, TableBijection):
+        raise TypeError(f"expected a TableBijection, got {type(f).__name__}")
+    if (f.d, f.m) != (state.d, len(targets)):
+        raise ValueError(f"bijection on {f.m} registers of dimension {f.d}, not {len(targets)} of {state.d}")
+    out = _front(state, targets)[f.inverse_table]  # new label w receives the amplitude of f^{-1}(w)
     return PureState(state.d, state.n, _back(out, targets, state.d, state.n))
 
 
@@ -381,9 +382,11 @@ def extract_factor(state: PureState, regs: Sequence[int]) -> tuple[PureState, Pu
     u = mat[:, col]
     u = u / np.linalg.norm(u)
     v = u.conj() @ mat
-    diff = np.outer(u, v)
-    np.subtract(mat, diff, out=diff)
-    residual = float(np.abs(diff).max())
+    # max |mat - u v^T|, one row at a time: no state-sized complex temporary
+    residual, row = 0.0, np.empty_like(v)
+    for u_i, mat_i in zip(u, mat):
+        np.subtract(mat_i, np.multiply(u_i, v, out=row), out=row)
+        residual = max(residual, float(np.abs(row).max()))
     if residual > TOL:
         raise EntangledFactorError(f"registers {regs} are entangled with the rest (residual {residual:.3e})")
     factor = PureState(state.d, len(regs), u)

@@ -20,6 +20,7 @@ scheme's security therefore cannot rest on the signed state itself.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ from .qsim import (
     make_state,
     new_rng,
     outcome_source,
-    tensor,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,7 @@ class SignedBundle:
     p_copy: PureState
 
 
+@functools.cache
 def canonical_omega(d: int) -> PureState:
     amps = np.zeros(d * d, dtype=np.complex128)
     amps[:: d + 1] = 1.0
@@ -162,6 +163,24 @@ def failed_step(verdict: FourStepVerdict) -> str:
     return "step4"
 
 
+@functools.cache
+def _pair_differences(d: int, k: int) -> np.ndarray:
+    """b - a for every cell (a, b) of the decoded pair-label grid, one row per
+    pair: the cells are the labels of registers 1..2k-2 in flat order."""
+    cells = np.indices((d,) * (2 * k - 2)).reshape(2 * k - 2, -1)
+    diffs = cells[k - 1 :] - cells[: k - 1]
+    diffs.flags.writeable = False
+    return diffs
+
+
+@functools.cache
+def _conjugate_test_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """a - b mod d for every cell of one pair's d x d label grid, and the Fourier matrix."""
+    a_minus_b = ((np.arange(d)[:, None] - np.arange(d)) % d).reshape(-1)
+    a_minus_b.flags.writeable = False
+    return a_minus_b, fourier_gate(d).entries
+
+
 def _pair_grid(state: PureState) -> np.ndarray:
     """Born weight of each label of registers 1.., register 0 (the message) summed out."""
     return (np.abs(state.amps) ** 2).reshape(state.d, -1).sum(axis=0)
@@ -208,8 +227,7 @@ def verify(
     # syndrome is a function of the differences b - a alone.
     cur = decode(vk, bundle.s_state)
     grid = _pair_grid(cur)
-    cells = np.indices((d,) * (2 * k - 2)).reshape(2 * k - 2, -1)  # (a, b) of each grid cell
-    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d
+    labels = vk.constraints.vectors[:, k:] @ _pair_differences(d, k) % d
 
     # step 1: parity syndrome, one constraint at a time
     syndrome: list[int] = []
@@ -226,8 +244,7 @@ def verify(
     # step 3: every residual pair must be the reference pair. On 2j + 1
     # registers the next pair is (1, j + 1): (1, k), (2, k + 1), ... of the
     # decoded state, as each passed pair leaves.
-    ff = fourier_gate(d).entries
-    a_minus_b = ((np.arange(d)[:, None] - np.arange(d)) % d).reshape(-1)
+    a_minus_b, ff = _conjugate_test_tables(d)
     for j in range(k - 1, 0, -1):
         ab = grid.reshape(d, d ** (j - 1), d, d ** (j - 1)).sum(axis=(1, 3))  # the pair's (a, b) weights
         if source.draw(np.bincount(a_minus_b, weights=ab.reshape(-1), minlength=d)) != 0:
@@ -271,7 +288,13 @@ def forge(
     psi_prime = make_state(d, 1, np.asarray(psi_prime_amplitudes, dtype=np.complex128))
     decoded = decode(vk, bundle.s_state)
     _, rest = extract_factor(decoded, [0])  # discard the signed message
-    replaced = tensor(psi_prime, rest)
-    s_new = apply_classical_bijection(replaced, vk.decode.inverted(), list(range(k)))
-    return SignedBundle(d, k, s_new, bundle.omega_pair, psi_prime_copy)
-
+    # re-encode psi' (x) rest in one gather: signed label w of registers 0..k-1
+    # holds decoded label fwd[w] = (message m, pair labels a), so its row is
+    # psi'(m) times row a of rest, whose columns are the other pair halves b
+    fwd = vk.decode.forward_table
+    dim = d ** (k - 1)
+    rows = np.take(rest.amps.reshape(dim, dim), fwd % dim, axis=0)
+    # psi' is the first operand, as in psi' (x) rest: under FMA a complex
+    # product's bits depend on the operand order
+    np.multiply(psi_prime.amps[fwd // dim][:, None], rows, out=rows)
+    return SignedBundle(d, k, PureState(d, 2 * k - 1, rows.reshape(-1)), bundle.omega_pair, psi_prime_copy)

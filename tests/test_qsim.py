@@ -1,5 +1,6 @@
 """Simulator core: states, gates, measurements, factor extraction."""
 import itertools
+import types
 import warnings
 
 import numpy as np
@@ -206,9 +207,40 @@ def test_classical_bijection_moves_labels_forward():
 
 
 def test_classical_bijection_rejects_noninverse_pair():
-    broken = TableBijection(2, 1, np.array([1, 0]), np.array([0, 1]))
+    # a table pair is checked once, when it is built
+    with pytest.raises(ValueError, match="not a bijection"):
+        TableBijection(2, 1, np.array([1, 0]), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "fwd, inv",
+    [
+        ([0, 1, 0], [0, 1]),  # forward after inverse is the identity; forward has an extra label
+        ([0, 1], [0, 1, 0]),  # inverse after forward is the identity; inverse has an extra label
+    ],
+    ids=["long forward", "long inverse"],
+)
+def test_table_bijection_checks_both_directions(fwd, inv):
+    with pytest.raises(ValueError, match="not a bijection"):
+        TableBijection(2, 1, np.array(fwd), np.array(inv))
+
+
+def test_classical_bijection_takes_only_a_checked_table_pair():
+    # an object that merely carries the tables skips the construction check
+    unchecked = types.SimpleNamespace(d=2, m=1, forward_table=np.array([1, 0]), inverse_table=np.array([0, 1]))
+    with pytest.raises(TypeError, match="TableBijection"):
+        apply_classical_bijection(basis_state(2, 1, [0]), unchecked, [0])
+    with pytest.raises(ValueError, match="registers"):
+        apply_classical_bijection(basis_state(2, 2, [0, 0]), _tables(2, 1, lambda v: v), [0, 1])
+
+
+def test_table_bijection_tables_are_read_only_copies():
+    fwd, inv = np.array([1, 0]), np.array([1, 0])
+    f = TableBijection(2, 1, fwd, inv)
+    fwd[:] = 0  # the caller's array; the checked copy keeps its labels
+    assert f.forward_table.tolist() == [1, 0]
     with pytest.raises(ValueError):
-        apply_classical_bijection(basis_state(2, 1, [0]), broken, [0])
+        f.inverse_table[0] = 0
 
 
 def test_classical_bijection_preserves_superposition_weights():

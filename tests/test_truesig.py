@@ -567,7 +567,8 @@ def test_forge_refuses_a_message_entangled_with_a_pair():
     # residual pair, so there is no message factor to replace
     keys, bundle, psi = _bundle(5, 2, 73)
     decoded = decode(keys, bundle.s_state)
-    entangled = make_state(5, 3, decoded.amps + apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2]).amps)
+    off = apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2])
+    entangled = make_state(5, 3, decoded.amps + off.amps)
     signed = apply_classical_bijection(entangled, keys.verifying.decode.inverted(), [0, 1])
     with pytest.raises(EntangledFactorError):
         forge(keys.verifying, dataclasses.replace(bundle, s_state=signed), psi, make_state(5, 1, psi))
