@@ -8,17 +8,30 @@ A record holds the checkout's git sha, the machine (nproc, Python and numpy
 versions), the calibration time of ``qsigbench/calib.py``, the end-to-end
 metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
-faults of one warm ``session_tamper_t6`` trial, one trap encode, one trap
-verify and one protocol-mode truesig verify, and the µs of one ``wc_check``
-at each MAC width. The trials run first, right after calibration, and the
-trap kernels next, so no fault figure depends on the application kernels.
-The benchmark and the kernels run as subprocesses on the checkout's own
-``src/`` and ``qsigbench/``, so one copy of this script records any
-checkout. A full record takes about five minutes on a
-2-core machine.
+faults of one warm ``truesig_forgery_d7k3`` trial, one warm
+``session_tamper_t6`` trial, one trap encode, one trap verify and one
+protocol-mode truesig verify, the ms of one truesig keygen and one forge,
+and the µs of one ``wc_check`` at each MAC width. The trials run first,
+right after calibration (the truesig trial before the session trial, whose
+freed blocks would keep its arrays in the heap), and the trap kernels next,
+so no fault figure depends on the application kernels. The benchmark and
+the kernels run as subprocesses on the checkout's own ``src/`` and
+``qsigbench/``, so one copy of this script records any checkout. A full
+record takes about five minutes on a 2-core machine.
 
 ``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
 JSON; the full record runs it in a single-threaded subprocess.
+
+Kernel figures from one record each cannot show a change of less than
+about 2x: the two records run minutes apart, on two machine states. To
+compare two checkouts, alternate the kernel subprocess between them:
+
+    python3 scripts/bench_record.py --kernel-pairs 10 --checkout . --against ../parent --out BENCH_23.json
+
+runs it 2N times, A then B in even pairs and B then A in odd ones, and
+prints, for each figure, the median over each side's runs and the number of
+pairs each side won (lower wins; ties count for neither). With ``--out`` the
+summary is also stored under ``kernel_pairs`` in that BENCH file.
 """
 from __future__ import annotations
 
@@ -80,14 +93,21 @@ def kernel_timings(checkout: Path) -> dict:
     from workloads import WORKLOADS, op_seed
 
     out = {"numpy": np.__version__, "calibration_ms": statistics.median(calib.calibrate() for _ in range(21)) * 1e3}
-    # one run_scenario call per trial, as qsigbench/worker.py makes them, after its warm-up call
-    wl, index = WORKLOADS["session_tamper_t6"], itertools.count(-1)
 
-    def trial():
-        attacks.run_scenario(attacks.Scenario(wl.scenario, wl.params, wl.trials, op_seed(wl.name, 0, next(index))))
+    def warm_trial(name: str):
+        """One run_scenario call per trial, as qsigbench/worker.py makes them, after its warm-up call."""
+        wl, index = WORKLOADS[name], itertools.count(-1)
 
-    trial()
-    out["session_tamper_t6_minflt"] = _median_ms_minflt(trial, 60)[1]
+        def trial():
+            attacks.run_scenario(attacks.Scenario(wl.scenario, wl.params, wl.trials, op_seed(wl.name, 0, next(index))))
+
+        trial()
+        return trial
+
+    out["truesig_trial_d7k3_ms"], out["truesig_trial_d7k3_minflt"] = _median_ms_minflt(
+        warm_trial("truesig_forgery_d7k3"), 100
+    )
+    out["session_tamper_t6_minflt"] = _median_ms_minflt(warm_trial("session_tamper_t6"), 60)[1]
     # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps;
     # a checkout from before qsim.Sampled reads its traps from the bare rng
     sampled = getattr(qsim, "Sampled", lambda rng: rng)
@@ -116,6 +136,8 @@ def kernel_timings(checkout: Path) -> dict:
     out["truesig_verify_d7k3_ms"], out["truesig_verify_d7k3_minflt"] = _median_ms_minflt(
         lambda: qsiglab.verify(keys, bundle, "protocol", rng=rng), 50
     )
+    out["truesig_forge_d7k3_ms"] = _median_ms(lambda: qsiglab.forge(keys.verifying, bundle, psi.amps, psi), 50)
+    out["truesig_keygen_d7k3_ms"] = _median_ms(lambda: qsiglab.keygen(7, 3, 7), 50)
     # one wc_check of a 24-byte message, mac_forgery's size, at each tag width; µs per call,
     # from the median of 31 runs of 100 calls
     message = bytes(range(24))
@@ -150,17 +172,73 @@ def _git(checkout: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def record(label: str, checkout: Path, seed: int) -> dict:
+def _commit(checkout: Path) -> dict:
+    """The checkout's HEAD sha, and whether tracked files differ from it."""
+    dirty = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return {"sha": _git(checkout, "rev-parse", "HEAD"), "dirty": bool(dirty)}
+
+
+def _update_bench(path: Path, update) -> dict:
+    """Read the BENCH file at path (or start one), apply update to it, write it back."""
+    bench = json.loads(path.read_text()) if path.exists() else {"records": []}
+    update(bench)
+    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    return bench
+
+
+def _kernels(checkout: Path) -> dict:
+    """The kernel figures of checkout, from a single-threaded subprocess of this script."""
     env = {**os.environ, **SINGLE_THREAD}
-    kernels = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, __file__, "--kernels", str(checkout)], env=env, stdout=subprocess.PIPE, text=True, check=True
     )
-    kern = json.loads(kernels.stdout)
+    return json.loads(proc.stdout)
+
+
+def kernel_pair_summary(runs: list[tuple[dict, dict]]) -> dict:
+    """Per numeric kernel figure over (checkout, against) pairs of runs: each
+    side's median and the number of pairs each side won. Every figure is
+    better lower; a tie counts for neither side."""
+    figures = {}
+    for name, value in runs[0][0].items():
+        if not isinstance(value, (int, float)):  # the numpy version
+            continue
+        ours, theirs = [pair[0][name] for pair in runs], [pair[1][name] for pair in runs]
+        figures[name] = {
+            "checkout_median": statistics.median(ours),
+            "against_median": statistics.median(theirs),
+            "checkout_won": sum(a < b for a, b in zip(ours, theirs)),
+            "against_won": sum(b < a for a, b in zip(ours, theirs)),
+        }
+    return figures
+
+
+def kernel_pairs(checkout: Path, against: Path, pairs: int) -> dict:
+    """Alternate the kernel subprocess between two checkouts: checkout first
+    in even pairs, against first in odd ones."""
+    runs = []
+    for i in range(pairs):
+        if i % 2 == 0:
+            ours = _kernels(checkout)
+            runs.append((ours, _kernels(against)))
+        else:
+            theirs = _kernels(against)
+            runs.append((_kernels(checkout), theirs))
+    return {
+        "pairs": pairs,
+        "nproc": len(os.sched_getaffinity(0)),
+        "checkout": _commit(checkout),
+        "against": _commit(against),
+        "figures": kernel_pair_summary(runs),
+    }
+
+
+def record(label: str, checkout: Path, seed: int) -> dict:
+    kern = _kernels(checkout)
     untraced, traced = _bench(checkout, seed, 0), _bench(checkout, seed, 1)
     return {
         "label": label,
-        "sha": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        **_commit(checkout),
         "seed": seed,
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
@@ -181,18 +259,26 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0, help="workload seed passed to qsigbench/run.py")
     ap.add_argument("--out", type=Path, help="BENCH file to add the record to (required with --label)")
     ap.add_argument("--kernels", type=Path, metavar="CHECKOUT", help="only print CHECKOUT's kernel timings")
+    ap.add_argument("--kernel-pairs", type=int, metavar="N", help="compare --checkout's kernel timings with --against's")
+    ap.add_argument("--against", type=Path, metavar="CHECKOUT", help="the other tree of --kernel-pairs")
     args = ap.parse_args()
     if args.kernels:
         print(json.dumps(kernel_timings(args.kernels.resolve())))
+        return 0
+    if args.kernel_pairs is not None:
+        if args.against is None or args.kernel_pairs < 1:
+            ap.error("--kernel-pairs needs N >= 1 and --against")
+        summary = kernel_pairs(args.checkout.resolve(), args.against.resolve(), args.kernel_pairs)
+        print(json.dumps(summary, indent=1, sort_keys=True))
+        if args.out is not None:
+            _update_bench(args.out, lambda bench: bench.update(kernel_pairs=summary))
         return 0
     if not args.label:
         ap.error("--label is required")
     if args.out is None:
         ap.error("--out is required with --label")
     rec = record(args.label, args.checkout.resolve(), args.seed)
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
-    bench["records"].append(rec)
-    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    bench = _update_bench(args.out, lambda bench: bench["records"].append(rec))
     print(f"{args.label}: {rec['sha']} correct={rec['correct']}, {len(bench['records'])} records in {args.out}")
     return 0 if rec["correct"] else 1
 

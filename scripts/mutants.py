@@ -71,15 +71,15 @@ MUTANTS = [
     Mutant(
         "truesig_syndrome_from_a_minus_b",
         "src/qsiglab/truesig.py",
-        "    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
-        "    labels = vk.constraints.vectors[:, k:] @ (cells[: k - 1] - cells[k - 1 :]) % d\n",
+        "    diffs = cells[k - 1 :] - cells[: k - 1]\n",
+        "    diffs = cells[: k - 1] - cells[k - 1 :]\n",
         _STEP1_PROJECTION + _REFEREE_SYNDROME,
     ),
     Mutant(
         "truesig_syndrome_reads_the_leading_columns",
         "src/qsiglab/truesig.py",
-        "    labels = vk.constraints.vectors[:, k:] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
-        "    labels = vk.constraints.vectors[:, : k - 1] @ (cells[k - 1 :] - cells[: k - 1]) % d\n",
+        "    labels = vk.constraints.vectors[:, k:] @ _pair_differences(d, k) % d\n",
+        "    labels = vk.constraints.vectors[:, : k - 1] @ _pair_differences(d, k) % d\n",
         _STEP1_PROJECTION + _REFEREE_SYNDROME,
     ),
     Mutant(
@@ -99,6 +99,22 @@ MUTANTS = [
             "tests/test_truesig.py::test_omega_reference_mismatch_fails_step4",
             "tests/test_truesig.py::test_referee_accepts_below_tol_and_rejects_above[shipped pair-step4]",
         ),
+    ),
+    Mutant(
+        "truesig_forge_reencodes_through_the_inverse",
+        "src/qsiglab/truesig.py",
+        "    fwd = vk.decode.forward_table\n",
+        "    fwd = vk.decode.inverse_table\n",
+        # not [7-2]: that case's decode table is an involution, equal to its inverse
+        tuple(f"tests/test_truesig.py::test_forged_equals_freshly_signed[{c}]" for c in ("5-2", "7-3"))
+        + ("tests/test_truesig.py::test_forgery_bytes_unchanged",),
+    ),
+    Mutant(
+        "table_bijection_checks_one_direction",
+        "src/qsiglab/fieldcode.py",
+        "        if not (np.array_equal(fwd[inv], order) and np.array_equal(inv[fwd], order)):\n",
+        "        if not np.array_equal(fwd[inv], order):\n",
+        ("tests/test_qsim.py::test_table_bijection_checks_both_directions[long forward]",),
     ),
     Mutant(
         "truesig_referee_reports_an_outcome_without_weight",

@@ -43,7 +43,9 @@ def test_script_runs(script, args):
         assert "qauth_encode_t6_minflt" in kernels
         assert "qauth_verify_t6_minflt" in kernels
         assert "session_tamper_t6_minflt" in kernels
-        assert kernels["truesig_verify_d7k3_ms"] > 0
+        for name in ("trial", "verify", "forge", "keygen"):
+            assert kernels[f"truesig_{name}_d7k3_ms"] > 0
+        assert "truesig_trial_d7k3_minflt" in kernels
         assert "truesig_verify_d7k3_minflt" in kernels
         for b in (16, 32, 64):
             assert kernels[f"wc_check_b{b}_us"] > 0
@@ -59,6 +61,31 @@ def test_bench_record_label_needs_out():
     )
     assert proc.returncode == 2
     assert "--out is required" in proc.stderr
+
+
+def test_bench_record_kernel_pairs_needs_against():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--kernel-pairs", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--against" in proc.stderr
+
+
+def test_kernel_pair_summary(monkeypatch):
+    # canned kernel figures, no subprocess: per figure, each side's median and
+    # the pairs each side won, lower winning and ties counting for neither
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from bench_record import kernel_pair_summary
+
+    ours = [{"numpy": "2.0", "forge_ms": f, "faults": 0} for f in (1.0, 3.0, 2.0, 5.0)]
+    theirs = [{"numpy": "2.0", "forge_ms": f, "faults": 0} for f in (2.0, 3.0, 4.0, 4.0)]
+    assert kernel_pair_summary(list(zip(ours, theirs))) == {
+        "forge_ms": {"checkout_median": 2.5, "against_median": 3.5, "checkout_won": 2, "against_won": 1},
+        "faults": {"checkout_median": 0, "against_median": 0, "checkout_won": 0, "against_won": 0},
+    }
 
 
 def test_mutant_is_killed():
