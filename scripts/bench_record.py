@@ -12,12 +12,13 @@ faults of one warm ``truesig_forgery_d7k3`` trial, one warm
 ``session_tamper_t6`` trial, one trap encode, one trap verify and one
 protocol-mode truesig verify, the ms of one truesig keygen and one forge,
 and the µs of one ``wc_check`` at each MAC width. The trials run first,
-right after calibration (the truesig trial before the session trial, whose
-freed blocks would keep its arrays in the heap), and the trap kernels next,
-so no fault figure depends on the application kernels. The benchmark and
-the kernels run as subprocesses on the checkout's own ``src/`` and
-``qsigbench/``, so one copy of this script records any checkout. A full
-record takes about five minutes on a 2-core machine.
+right after calibration, and the trap kernels next, so no fault figure
+depends on the application kernels. As in the benchmark's worker, importing
+calib.py frees a 1 MiB temporary before any of them, which keeps arrays
+under 1 MiB in the heap, so the truesig trial reads no faults. The
+benchmark and the kernels run as subprocesses on the checkout's own
+``src/`` and ``qsigbench/``, so one copy of this script records any
+checkout. A full record takes about five minutes on a 2-core machine.
 
 ``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
 JSON; the full record runs it in a single-threaded subprocess.
