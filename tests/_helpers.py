@@ -3,6 +3,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qsiglab.fieldcode import FunctionalMatrix, mod_inv_matrix
 from qsiglab.qsim import GateMatrix, PureState
 
 # ---------------------------------------------------------------------------
@@ -63,3 +64,23 @@ def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
     for q in range(len(vec) // 2):
         out = np.kron(out, _P1[(int(vec[2 * q]), int(vec[2 * q + 1]))])
     return (-1) ** int(sign) * out
+
+
+# ---------------------------------------------------------------------------
+# field-code reference
+
+
+def reference_decode_tables(fm: FunctionalMatrix, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The decode's forward and inverse tables by matrix inversion: solve the
+    subset rows for x on every label, then emit (x_0, out-row coordinates)."""
+    d, k = fm.d, fm.k
+    subset = sorted(subset)
+    out_rows = [i for i in range(1, 2 * k) if i not in subset]
+    a_inv = mod_inv_matrix(fm.rows[subset], d)
+    labels = np.indices((d,) * k).reshape(k, -1)
+    x_all = a_inv @ labels % d
+    out = np.concatenate([x_all[:1], fm.rows[out_rows] @ x_all % d])
+    forward = np.ravel_multi_index(out, (d,) * k)
+    inverse = np.empty_like(forward)
+    inverse[forward] = np.arange(d**k)
+    return forward, inverse

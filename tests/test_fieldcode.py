@@ -1,4 +1,5 @@
 """Prime-field functional stacks, decode bijections, parity constraints."""
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,8 @@ from qsiglab.fieldcode import (
     mod_rref,
     parity_constraints,
 )
+
+from _helpers import reference_decode_tables
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,31 @@ def test_decode_round_trip_random_subsets(dk, seed):
     db = decode_bijection(fm, subset)
     labels = tuple(int(v) for v in rng.integers(0, d, size=k))
     assert _image(db.inverse_table, _image(db.forward_table, labels, d), d) == labels
+
+
+# one SHA-256 over the forward and inverse table of every decode subset and the
+# parity constraints of every criterion-10 instance, in the order built below
+_KEY_TABLES_DIGEST = "c811d2ec9ab616f6680c95227130e8527ee081d31fe4f0b0562881c51ee96cad"
+
+
+def test_key_tables_match_the_reference_on_every_instance():
+    # criterion 10's Vandermonde instances (d in 5, 7, 11, k in 2, 3, d >= 2k),
+    # decoded through every k-subset of rows 1..2k-1
+    h, instances = hashlib.sha256(), 0
+    for d, k in [(5, 2), (7, 2), (7, 3), (11, 2), (11, 3)]:
+        subsets = list(itertools.combinations(range(1, 2 * k), k))
+        for tail in itertools.combinations(range(1, d), 2 * k - 1):
+            fm = gen_functionals(d, k, [0, *tail])
+            for subset in subsets:
+                db = decode_bijection(fm, subset)
+                forward, inverse = reference_decode_tables(fm, subset)
+                assert np.array_equal(db.forward_table, forward), (d, tail, subset)
+                assert np.array_equal(db.inverse_table, inverse), (d, tail, subset)
+                h.update(db.forward_table.tobytes() + db.inverse_table.tobytes())
+            h.update(parity_constraints(fm).vectors.tobytes())
+            instances += 1
+    assert instances == 402
+    assert h.hexdigest() == _KEY_TABLES_DIGEST, h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

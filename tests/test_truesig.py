@@ -596,3 +596,17 @@ def test_forgery_bytes_unchanged():
             h.update(repr(verdict).encode())
             h.update(struct.pack("<d", rng.random()))
     assert h.hexdigest() == _FORGERY_BYTES_DIGEST, h.hexdigest()
+
+
+# one SHA-256 over the honestly signed state of each forgery case
+_SIGNED_BYTES_DIGEST = "96f85441245bef0a51cc1c4d1ad25aa2080bffe43c70073b857c2afc46ee8452"
+
+
+def test_signed_bytes_unchanged():
+    h = hashlib.sha256()
+    for d, k in _FORGERY_CASES:
+        for seed in range(20):
+            keys, rng = keygen(d, k, seed), new_rng(seed)
+            psi = sample_random_pure(d, 1, rng)
+            h.update(sign(keys, psi.amps, PureState(d, 1, psi.amps)).s_state.amps.tobytes())
+    assert h.hexdigest() == _SIGNED_BYTES_DIGEST, h.hexdigest()
