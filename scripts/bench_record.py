@@ -10,8 +10,9 @@ metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
 faults of one warm ``truesig_forgery_d7k3`` trial, one warm
 ``session_tamper_t6`` trial, one trap encode, one trap verify and one
-protocol-mode truesig verify, the ms of one truesig keygen and one forge,
-and the µs of one ``wc_check`` at each MAC width. The trials run first,
+protocol-mode truesig verify, the ms of one truesig keygen, one sign and
+one forge, and the µs of one ``wc_check`` at each MAC width and of one
+``PureState`` of 7^5 amplitudes (its norm check). The trials run first,
 right after calibration, and the trap kernels next, so no fault figure
 depends on the application kernels. As in the benchmark's worker, importing
 calib.py frees a 1 MiB temporary before any of them, which keeps arrays
@@ -139,6 +140,11 @@ def kernel_timings(checkout: Path) -> dict:
     )
     out["truesig_forge_d7k3_ms"] = _median_ms(lambda: qsiglab.forge(keys.verifying, bundle, psi.amps, psi), 50)
     out["truesig_keygen_d7k3_ms"] = _median_ms(lambda: qsiglab.keygen(7, 3, 7), 50)
+    out["truesig_sign_d7k3_ms"] = _median_ms(lambda: qsiglab.sign(keys, psi.amps, psi), 50)
+    # one PureState of 7^5 amplitudes, a d = 7, k = 3 signed state; µs per call, from the
+    # median of 31 runs of 100 calls
+    amps = sample_random_pure(7, 5, new_rng(7)).amps
+    out["pure_state_d7n5_us"] = _median_ms(lambda: [qsim.PureState(7, 5, amps) for _ in range(100)], 31) * 10
     # one wc_check of a 24-byte message, mac_forgery's size, at each tag width; µs per call,
     # from the median of 31 runs of 100 calls
     message = bytes(range(24))

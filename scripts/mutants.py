@@ -71,15 +71,15 @@ MUTANTS = [
     Mutant(
         "truesig_syndrome_from_a_minus_b",
         "src/qsiglab/truesig.py",
-        "    diffs = cells[k - 1 :] - cells[: k - 1]\n",
-        "    diffs = cells[: k - 1] - cells[k - 1 :]\n",
+        "    idx = np.ravel_multi_index((cells[k - 1 :] - cells[: k - 1]) % d, (d,) * (k - 1))\n",
+        "    idx = np.ravel_multi_index((cells[: k - 1] - cells[k - 1 :]) % d, (d,) * (k - 1))\n",
         _STEP1_PROJECTION + _REFEREE_SYNDROME,
     ),
     Mutant(
         "truesig_syndrome_reads_the_leading_columns",
         "src/qsiglab/truesig.py",
-        "    labels = vk.constraints.vectors[:, k:] @ _pair_differences(d, k) % d\n",
-        "    labels = vk.constraints.vectors[:, : k - 1] @ _pair_differences(d, k) % d\n",
+        "    labels = np.take(vk.constraints.vectors[:, k:] @ tuples % d, idx, axis=1)\n",
+        "    labels = np.take(vk.constraints.vectors[:, : k - 1] @ tuples % d, idx, axis=1)\n",
         _STEP1_PROJECTION + _REFEREE_SYNDROME,
     ),
     Mutant(
@@ -108,6 +108,16 @@ MUTANTS = [
         # not [7-2]: that case's decode table is an involution, equal to its inverse
         tuple(f"tests/test_truesig.py::test_forged_equals_freshly_signed[{c}]" for c in ("5-2", "7-3"))
         + ("tests/test_truesig.py::test_forgery_bytes_unchanged",),
+    ),
+    Mutant(
+        "decode_tables_from_swapped_rows",
+        "src/qsiglab/fieldcode.py",
+        "    dst = np.ravel_multi_index(fm.codewords[[0, *out_rows]], (d,) * k)\n",
+        "    dst = np.ravel_multi_index(fm.codewords[[*out_rows, 0]], (d,) * k)\n",
+        (
+            "tests/test_fieldcode.py::test_key_tables_match_the_reference_on_every_instance",
+            "tests/test_truesig.py::test_forgery_bytes_unchanged",
+        ),
     ),
     Mutant(
         "table_bijection_checks_one_direction",
@@ -144,6 +154,13 @@ MUTANTS = [
             "tests/test_qsim.py::test_referee_exchange_test_accepts_at_one_minus_tol[3.0000000000000004e-09-1]",
             "tests/test_qsim.py::test_referee_accepts_from_one_minus_tol",
         ),
+    ),
+    Mutant(
+        "pure_state_norm_check_lets_nan_through",
+        "src/qsiglab/qsim.py",
+        "        if not abs(norm - 1.0) <= TOL:  # written so that a NaN norm fails too\n",
+        "        if abs(norm - 1.0) > TOL:  # written so that a NaN norm fails too\n",
+        ("tests/test_qsim.py::test_nan_fails_state_and_gate_validation",),
     ),
     Mutant(
         "arbiter_referee_draws_from_rng",

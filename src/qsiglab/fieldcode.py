@@ -13,8 +13,9 @@ All arithmetic is mod d with d prime; inverses via pow(a, -1, d).
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,19 +65,6 @@ def mod_rank(mat, d: int) -> int:
     return len(mod_rref(mat, d)[1])
 
 
-def mod_inv_matrix(mat, d: int) -> np.ndarray:
-    """Inverse of a square matrix mod prime d; raises on singular input."""
-    a = np.array(mat, dtype=np.int64) % d
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError("matrix must be square")
-    aug = np.concatenate([a, np.eye(k, dtype=np.int64)], axis=1)
-    rref, pivots = mod_rref(aug, d)
-    if pivots[:k] != list(range(k)):
-        raise ValueError("matrix is singular mod d")
-    return np.array([row[k:] for row in rref], dtype=np.int64)
-
-
 def mod_nullspace(mat, d: int) -> np.ndarray:
     """Basis (rows) of the nullspace {v : mat @ v = 0 mod d}."""
     cols = np.shape(mat)[1]
@@ -92,6 +80,14 @@ def mod_nullspace(mat, d: int) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(len(free), cols)
 
 
+@functools.cache
+def labels(d: int, m: int) -> np.ndarray:
+    """Every label tuple of m registers of dimension d, as the columns of a read-only (m, d^m) table in flat order."""
+    table = np.indices((d,) * m).reshape(m, -1)
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -100,12 +96,14 @@ def mod_nullspace(mat, d: int) -> np.ndarray:
 class FunctionalMatrix:
     """2k linear functionals on Z_d^k: row i computes coordinate y_i(x).
 
-    Row 0 is the unit vector e_0, so y_0 = x_0 always.
+    Row 0 is the unit vector e_0, so y_0 = x_0 always. ``codewords`` (read-only)
+    holds the 2k coordinates of every x, one column per x in ``labels(d, k)``.
     """
 
     d: int
     k: int
     rows: np.ndarray
+    codewords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.d):
@@ -120,7 +118,10 @@ class FunctionalMatrix:
         if not np.array_equal(rows[0], e0):
             raise ValueError("row 0 must be the unit vector e_0")
         rows.flags.writeable = False
+        codewords = rows @ labels(self.d, self.k) % self.d
+        codewords.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "codewords", codewords)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """All 2k coordinates y_i(x) for message vector(s) x."""
@@ -171,9 +172,6 @@ class DecodeBijection(TableBijection):
     @property
     def k(self) -> int:
         return self.m
-
-    def inverted(self) -> TableBijection:
-        return TableBijection(self.d, self.m, self.inverse_table, self.forward_table)
 
 
 @dataclass(frozen=True)
@@ -226,9 +224,10 @@ def decode_bijection(fm: FunctionalMatrix, in_subset) -> DecodeBijection:
     """Build the relabeling (y at in_subset rows) -> (x_0, complement coords).
 
     ``in_subset``: k distinct row indices in 1..2k-1 (index 0 excluded; its
-    coordinate IS x_0, which occupies the first output slot). Lookup tables
-    cover all d^k points; forward and inverse are checked to compose to the
-    identity at build time, by TableBijection.
+    coordinate IS x_0, which occupies the first output slot). The tables are
+    read off the codewords, with no inversion: forward sends each codeword's
+    subset label to its (x_0, complement) label. Two codewords that agree on
+    either label (a stack that is not MDS) leave a label unset: ValueError.
     """
     d, k = fm.d, fm.k
     subset = tuple(sorted(int(i) for i in in_subset))
@@ -240,15 +239,14 @@ def decode_bijection(fm: FunctionalMatrix, in_subset) -> DecodeBijection:
         raise ValueError("index 0 cannot be an input row (its coordinate is the output x_0)")
     out_rows = tuple(i for i in range(2 * k) if i not in subset and i != 0)
 
-    a_inv = mod_inv_matrix(fm.rows[list(subset)], d)  # MDS makes this total
-    labels = np.indices((d,) * k).reshape(k, -1)  # every label tuple, as columns
-
-    # forward: labels read as y-values at subset rows -> (x_0, out-row coords)
-    x_all = a_inv @ labels % d
-    out = np.concatenate([x_all[:1], fm.rows[list(out_rows)] @ x_all % d])
-    forward = np.ravel_multi_index(out, (d,) * k)
-    inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(d**k)  # TableBijection checks that this inverts forward
+    src = np.ravel_multi_index(fm.codewords[list(subset)], (d,) * k)
+    dst = np.ravel_multi_index(fm.codewords[[0, *out_rows]], (d,) * k)
+    forward = np.full(d**k, -1, dtype=np.int64)
+    forward[src] = dst
+    inverse = np.full(d**k, -1, dtype=np.int64)
+    inverse[dst] = src
+    if forward.min() < 0 or inverse.min() < 0:
+        raise ValueError(f"two codewords agree on rows {subset} or on {(0, *out_rows)}: the stack is not MDS")
     return DecodeBijection(d, k, forward, inverse, in_subset=subset, out_indices=out_rows)
 
 

@@ -19,6 +19,7 @@ States are immutable values: operations return new ``PureState`` objects.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -115,7 +116,7 @@ class PureState:
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)  # one BLAS dot
         if not abs(norm - 1.0) <= TOL:  # written so that a NaN norm fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amps.flags.writeable = False

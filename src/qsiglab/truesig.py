@@ -31,6 +31,7 @@ from .fieldcode import (
     ParityConstraintSet,
     decode_bijection,
     gen_functionals,
+    labels,
     parity_constraints,
 )
 from .qsim import (
@@ -118,11 +119,10 @@ def sign(keys: TrueSigKeys, psi_amplitudes, psi_copy: PureState) -> SignedBundle
     psi = make_state(d, 1, np.asarray(psi_amplitudes, dtype=np.complex128))
     if psi_copy.d != d or psi_copy.n != 1:
         raise ValueError(f"copy must be one register of dimension {d}")
-    x_all = np.indices((d,) * k).reshape(k, -1)  # every message vector x, as columns
-    y_all = fm.rows[1:] @ x_all % d  # coordinates y_1..y_{2k-1} for every x
-    flat = np.ravel_multi_index(y_all, (d,) * (2 * k - 1))
+    y_all = fm.codewords  # row 0 is y_0 = x_0; rows 1..2k-1 are the signed labels
+    flat = np.ravel_multi_index(y_all[1:], (d,) * (2 * k - 1))
     amps = np.zeros(d ** (2 * k - 1), dtype=np.complex128)
-    amps[flat] = psi.amps[x_all[0]] * d ** (-(k - 1) / 2)  # injective placement
+    amps[flat] = psi.amps[y_all[0]] * d ** (-(k - 1) / 2)  # injective placement
     return SignedBundle(d, k, PureState(d, 2 * k - 1, amps), canonical_omega(d), psi_copy)
 
 
@@ -164,13 +164,13 @@ def failed_step(verdict: FourStepVerdict) -> str:
 
 
 @functools.cache
-def _pair_differences(d: int, k: int) -> np.ndarray:
-    """b - a for every cell (a, b) of the decoded pair-label grid, one row per
-    pair: the cells are the labels of registers 1..2k-2 in flat order."""
-    cells = np.indices((d,) * (2 * k - 2)).reshape(2 * k - 2, -1)
-    diffs = cells[k - 1 :] - cells[: k - 1]
-    diffs.flags.writeable = False
-    return diffs
+def _pair_differences(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tuple of k - 1 pair differences, as columns, and for each cell (a, b)
+    of the decoded pair labels (registers 1..2k-2) the column of (b - a) mod d."""
+    cells = labels(d, 2 * k - 2)
+    idx = np.ravel_multi_index((cells[k - 1 :] - cells[: k - 1]) % d, (d,) * (k - 1))
+    idx.flags.writeable = False
+    return labels(d, k - 1), idx
 
 
 @functools.cache
@@ -227,7 +227,8 @@ def verify(
     # syndrome is a function of the differences b - a alone.
     cur = decode(vk, bundle.s_state)
     grid = _pair_grid(cur)
-    labels = vk.constraints.vectors[:, k:] @ _pair_differences(d, k) % d
+    tuples, idx = _pair_differences(d, k)
+    labels = np.take(vk.constraints.vectors[:, k:] @ tuples % d, idx, axis=1)
 
     # step 1: parity syndrome, one constraint at a time
     syndrome: list[int] = []

@@ -3,7 +3,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qsiglab.fieldcode import FunctionalMatrix, mod_inv_matrix
+from qsiglab.fieldcode import FunctionalMatrix, mod_rref
 from qsiglab.qsim import GateMatrix, PureState
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,19 @@ def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # field-code reference
+
+
+def mod_inv_matrix(mat, d: int) -> np.ndarray:
+    """Inverse of a square matrix mod prime d; raises on singular input."""
+    a = np.array(mat, dtype=np.int64) % d
+    k = a.shape[0]
+    if a.shape != (k, k):
+        raise ValueError("matrix must be square")
+    aug = np.concatenate([a, np.eye(k, dtype=np.int64)], axis=1)
+    rref, pivots = mod_rref(aug, d)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("matrix is singular mod d")
+    return np.array([row[k:] for row in rref], dtype=np.int64)
 
 
 def reference_decode_tables(fm: FunctionalMatrix, subset: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

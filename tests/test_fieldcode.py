@@ -13,14 +13,13 @@ from qsiglab.fieldcode import (
     decode_bijection,
     gen_functionals,
     is_prime,
-    mod_inv_matrix,
     mod_nullspace,
     mod_rank,
     mod_rref,
     parity_constraints,
 )
 
-from _helpers import reference_decode_tables
+from _helpers import mod_inv_matrix, reference_decode_tables
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +105,14 @@ def test_check_mds_vandermonde_true_and_counterexample():
     assert not check_mds(FunctionalMatrix(5, 2, rows))
 
 
+def test_codewords_are_read_only_and_match_evaluate():
+    fm = gen_functionals(7, 3, [0, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError):
+        fm.codewords[0, 0] = 1
+    for col, x in enumerate(itertools.product(range(7), repeat=3)):
+        assert np.array_equal(fm.codewords[:, col], fm.evaluate(np.array(x))), x
+
+
 @pytest.mark.parametrize("d,k", [(5, 2), (7, 2), (7, 3), (11, 2), (11, 3), (13, 3)])
 def test_check_mds_generated_grids(d, k):
     fm = gen_functionals(d, k, list(range(2 * k)))
@@ -146,6 +153,18 @@ def test_decode_bijection_rejects_bad_subsets():
         decode_bijection(fm, in_subset=(1, 9))
 
 
+@pytest.mark.parametrize(
+    "rows, subset",
+    [
+        ([[1, 0], [1, 1], [2, 2], [1, 3]], (1, 2)),  # the input rows 1 and 2 are proportional
+        ([[1, 0], [1, 1], [1, 2], [2, 0]], (1, 2)),  # the output row 3 is proportional to row 0
+    ],
+)
+def test_decode_bijection_rejects_a_stack_that_is_not_mds(rows, subset):
+    with pytest.raises(ValueError, match="not MDS"):
+        decode_bijection(FunctionalMatrix(5, 2, np.array(rows)), subset)
+
+
 def test_decode_tables_are_permutations():
     fm = gen_functionals(7, 3, [0, 1, 2, 3, 4, 5])
     db = decode_bijection(fm, in_subset=(1, 2, 3))
@@ -163,14 +182,6 @@ def test_decode_consistency_with_evaluate():
             out = _image(db.forward_table, (int(y[1]), int(y[3])), 7)
             assert out[0] == x0
             assert out[1] == int(y[2])  # the one complement coordinate
-
-
-def test_inverted_swaps_directions():
-    fm = gen_functionals(5, 2, [0, 1, 2, 3])
-    db = decode_bijection(fm, (1, 2))
-    inv = db.inverted()
-    assert _image(inv.forward_table, (2, 0), 5) == (3, 4)
-    assert _image(inv.inverse_table, (3, 4), 5) == (2, 0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -66,6 +66,23 @@ def test_pure_state_rejects_unnormalized():
         PureState(2, 1, np.array([1.0, 1.0], dtype=np.complex128))
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (7, 5)])
+def test_pure_state_norm_check_at_tol(d, n):
+    # a flat state of norm 1 + delta: accepted inside TOL, rejected outside it
+    flat = np.full(d**n, 1 / np.sqrt(d**n), dtype=np.complex128)
+    for delta in (0.5 * TOL, -0.5 * TOL):
+        PureState(d, n, flat * (1 + delta))
+    for delta in (2 * TOL, -2 * TOL):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(d, n, flat * (1 + delta))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
+def test_pure_state_rejects_infinite_amplitudes(bad):
+    with pytest.raises(ValueError, match="normalized"):
+        PureState(2, 1, np.array([bad, 0.0], dtype=np.complex128))
+
+
 def test_nan_fails_state_and_gate_validation():
     with pytest.raises(ValueError):
         PureState(2, 1, np.array([np.nan, 0.0], dtype=np.complex128))

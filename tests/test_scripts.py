@@ -43,8 +43,9 @@ def test_script_runs(script, args):
         assert "qauth_encode_t6_minflt" in kernels
         assert "qauth_verify_t6_minflt" in kernels
         assert "session_tamper_t6_minflt" in kernels
-        for name in ("trial", "verify", "forge", "keygen"):
+        for name in ("trial", "verify", "forge", "keygen", "sign"):
             assert kernels[f"truesig_{name}_d7k3_ms"] > 0
+        assert kernels["pure_state_d7n5_us"] > 0
         assert "truesig_trial_d7k3_minflt" in kernels
         assert "truesig_verify_d7k3_minflt" in kernels
         for b in (16, 32, 64):

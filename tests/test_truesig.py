@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from qsiglab.fieldcode import TableBijection
 from qsiglab.qsim import (
     TOL,
     EntangledFactorError,
@@ -57,6 +58,12 @@ def _bundle(d: int, k: int, seed: int) -> tuple[TrueSigKeys, SignedBundle, np.nd
     psi = _random_message(d, seed + 1)
     bundle = sign(keys, psi, make_state(d, 1, psi))
     return keys, bundle, psi
+
+
+def _encoding(keys: TrueSigKeys) -> TableBijection:
+    """The decode run backwards: decoded labels to signed labels."""
+    db = keys.verifying.decode
+    return TableBijection(db.d, db.m, db.inverse_table, db.forward_table)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +472,7 @@ def _near_honest(kind: str, eps: float) -> tuple[TrueSigKeys, SignedBundle]:
         decoded = decode(keys, s)
         off = apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2]).amps
         mixed = make_state(5, 3, mix(decoded.amps, off, eps))
-        signed = apply_classical_bijection(mixed, keys.verifying.decode.inverted(), [0, 1])
+        signed = apply_classical_bijection(mixed, _encoding(keys), [0, 1])
         return keys, dataclasses.replace(bundle, s_state=signed)
     # the equality tests reject with (1 - F)/2
     if kind == "copy":
@@ -569,7 +576,7 @@ def test_forge_refuses_a_message_entangled_with_a_pair():
     decoded = decode(keys, bundle.s_state)
     off = apply_gate(apply_gate(decoded, shift_gate(5), [0]), clock_gate(5), [2])
     entangled = make_state(5, 3, decoded.amps + off.amps)
-    signed = apply_classical_bijection(entangled, keys.verifying.decode.inverted(), [0, 1])
+    signed = apply_classical_bijection(entangled, _encoding(keys), [0, 1])
     with pytest.raises(EntangledFactorError):
         forge(keys.verifying, dataclasses.replace(bundle, s_state=signed), psi, make_state(5, 1, psi))
 
