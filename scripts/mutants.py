@@ -87,7 +87,16 @@ MUTANTS = [
         "src/qsiglab/truesig.py",
         "        if weights[0] / weights.sum() < 1.0 - _EXACT:  # an uncertain outcome: project onto it\n",
         "        if False:\n",
-        _STEP1_PROJECTION,
+        # not [5-2]: at k = 2 the one syndrome-0 sector is the a = b diagonal,
+        # which step 3 reads and renormalises as the projection would
+        _STEP1_PROJECTION[1:],
+    ),
+    Mutant(
+        "truesig_step1_skips_the_last_constraint",
+        "src/qsiglab/truesig.py",
+        "    for row in labels:\n",
+        "    for row in labels[:-1]:\n",
+        (_PROTOCOL_REFERENCE[1], _STEP1_PROJECTION[1]),
     ),
     Mutant(
         "truesig_p_pair_ignores_shipped_pair",

@@ -123,10 +123,6 @@ class FunctionalMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "codewords", codewords)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """All 2k coordinates y_i(x) for message vector(s) x."""
-        return np.asarray(x, dtype=np.int64) % self.d @ self.rows.T % self.d
-
 
 @dataclass(frozen=True)
 class TableBijection:

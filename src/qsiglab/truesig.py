@@ -174,11 +174,9 @@ def _pair_differences(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _conjugate_test_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """a - b mod d for every cell of one pair's d x d label grid, and the Fourier matrix."""
-    a_minus_b = ((np.arange(d)[:, None] - np.arange(d)) % d).reshape(-1)
-    a_minus_b.flags.writeable = False
-    return a_minus_b, fourier_gate(d).entries
+def _fourier(d: int) -> np.ndarray:
+    """The Fourier matrix of one register, for the conjugate-basis pair test."""
+    return fourier_gate(d).entries
 
 
 def _pair_grid(state: PureState) -> np.ndarray:
@@ -195,16 +193,17 @@ def verify(
     """Four-step verification: one sequence of tests, read in either of two
     inspection regimes.
 
-    The tests are the syndrome measurements, the decode, two parity tests per
-    residual pair (a - b, then a + b in the conjugate basis), and the
-    equality tests: the swap test of the message against the copy, then the
-    exchange test of the reference pair against the shipped one, which
-    accept with (1 + F)/2. The syndromes are read on the decoded labels,
-    where constraint c takes the value c[k:] . (b - a) mod d on pair labels
-    (a, b): the same observable as c . y on the signed labels y, since the
-    decode is a bijection and c annihilates the code point it solves for.
-    Each pair that passes both tests is exactly Omega and is contracted
-    away, so step 4 meets the one-register message.
+    The tests are the syndrome measurements, the decode, one conjugate-basis
+    test per residual pair (a + b), and the equality tests: the swap test of
+    the message against the copy, then the exchange test of the reference
+    pair against the shipped one, which accept with (1 + F)/2. The syndromes
+    are read on the decoded labels, where constraint c takes the value
+    c[k:] . (b - a) mod d on pair labels (a, b): the same observable as
+    c . y on the signed labels y, since the decode is a bijection and c
+    annihilates the code point it solves for. a - b = 0 follows from a zero
+    syndrome, so it needs no test of its own. Each pair that passes is
+    exactly Omega and is contracted away, so step 4 meets the one-register
+    message.
     "protocol" draws every outcome from the rng at its Born probability
     (rng required; one draw per test). "referee" is the noiseless classical
     referee: the same tests, with outcome 0 taken exactly when its Born
@@ -218,8 +217,8 @@ def verify(
         if (ref.d, ref.n) != (d, n):
             raise ValueError(f"reference {name} must be {n} register(s) of dimension {d}, got ({ref.d},{ref.n})")
 
-    def fail(syndrome, s2=False, s3=False) -> FourStepVerdict:
-        return FourStepVerdict(tuple(syndrome), s2, s3, False, False, mode)
+    def fail(syndrome, s2=False) -> FourStepVerdict:
+        return FourStepVerdict(tuple(syndrome), s2, False, False, False, mode)
 
     # step 2 runs first: the decode relabeling (a bijection; no pass/fail of
     # its own; it checks the signed state's shape). Register 0 then holds the
@@ -242,22 +241,20 @@ def verify(
             cur = PureState(d, 2 * k - 1, vec / np.linalg.norm(vec))
             grid = _pair_grid(cur)
 
-    # step 3: every residual pair must be the reference pair. On 2j + 1
-    # registers the next pair is (1, j + 1): (1, k), (2, k + 1), ... of the
-    # decoded state, as each passed pair leaves.
-    a_minus_b, ff = _conjugate_test_tables(d)
+    # step 3: every residual pair must be the reference pair. A zero syndrome
+    # is k - 1 independent constraints c[k:] . (b - a) = 0, so it leaves only
+    # a = b on every pair, and each pair's one test is a + b in the conjugate
+    # basis. On 2j + 1 registers the next pair is (1, j + 1): (1, k),
+    # (2, k + 1), ... of the decoded state, as each passed pair leaves.
+    ff = _fourier(d)
     for j in range(k - 1, 0, -1):
-        ab = grid.reshape(d, d ** (j - 1), d, d ** (j - 1)).sum(axis=(1, 3))  # the pair's (a, b) weights
-        if source.draw(np.bincount(a_minus_b, weights=ab.reshape(-1), minlength=d)) != 0:
-            return fail(syndrome, s2=True)
-        # after a - b = 0 only the a = b diagonal is left; F on it gives the
-        # amplitudes of the conjugate-basis sectors a + b = s, row s
+        # F on the a = b diagonal gives the amplitudes of the conjugate-basis
+        # sectors a + b = s, row s
         diag = np.diagonal(cur.amps.reshape(d, d, d ** (j - 1), d, d ** (j - 1)), axis1=1, axis2=3)
         conj = ff @ np.moveaxis(diag, -1, 0).reshape(d, -1)
         if source.draw(np.sum(np.abs(conj) ** 2, axis=1)) != 0:
             return fail(syndrome, s2=True)
         cur = make_state(d, 2 * j - 1, conj[0])  # row 0 of F sums the diagonal: <Omega|_pair cur
-        grid = _pair_grid(cur)
 
     # step 4: decoded message vs plaintext copy, the reference pair vs shipped pair
     p_swap = (1.0 + fidelity(cur, bundle.p_copy)) / 2.0

@@ -70,6 +70,11 @@ def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
 # field-code reference
 
 
+def evaluate(fm: FunctionalMatrix, x) -> np.ndarray:
+    """All 2k coordinates y_i(x) of message vector(s) x under fm's functionals."""
+    return np.asarray(x, dtype=np.int64) % fm.d @ fm.rows.T % fm.d
+
+
 def mod_inv_matrix(mat, d: int) -> np.ndarray:
     """Inverse of a square matrix mod prime d; raises on singular input."""
     a = np.array(mat, dtype=np.int64) % d

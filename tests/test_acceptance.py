@@ -19,6 +19,8 @@ from qsiglab.fieldcode import check_mds, decode_bijection, gen_functionals, pari
 from qsiglab.qsim import derive_seed, fidelity, make_state, new_rng, sample_random_pure
 from qsiglab.truesig import decode, forge, keygen, sign
 
+from _helpers import evaluate
+
 GRID = [(5, 2), (5, 3), (7, 2), (7, 3)]
 VALID = [(d, k) for d, k in GRID if d >= 2 * k]
 
@@ -91,7 +93,7 @@ def test_criterion_03_decode_oracle():
             decoded = decode(keys, sign(keys, psi, make_state(d, 1, psi)).s_state)
             oracle = np.zeros(d ** (2 * k - 1), dtype=np.complex128)
             for x in itertools.product(range(d), repeat=k):
-                y = fm.evaluate(list(x))
+                y = evaluate(fm, list(x))
                 label = [x[0]] + [int(y[j]) for j in out_rows] + [int(y[j]) for j in range(k + 1, 2 * k)]
                 idx = 0
                 for v in label:

@@ -70,7 +70,7 @@ DIGESTS = {
     ("truesig_forgery", "protocol", 17): "113914099ded9328f7b3eafe6a392367ea694bee5153fd5434de1f4e4b0c91e4",
     ("truesig_random_substitution", None, 0): "383b39d89ede3ad918f774ffb9cdf7ffb950981da966910043ee5d773498def7",
     ("truesig_random_substitution", None, 17): "5ae81c4d843887ff55347c015d4b89cb8313350408e7551cd0482698327f4f2a",
-    ("truesig_random_substitution", "protocol", 0): "7093babbe3c7964c271f1dae96f29c62a8a3d02d074fdaa1b7fb3668fdd77661",
+    ("truesig_random_substitution", "protocol", 0): "6f97ca7cd49a8e3310bf9994cc31d84af6b719d8e7234d09170310661aa4f382",
     ("truesig_random_substitution", "protocol", 17): "414ba8e3de0ab77859fb051090474892839ac2ffaf85556a47bdcc159d1dc47f",
     ("mac_forgery", None, 0): "7ba1b0392d0a0a666bb38b09b4da892d95fe2562f8b0f90ed5e5dbe622191b44",
     ("mac_forgery", None, 17): "43dd6295c45fe43a7978c9ad3d45ac64794893483b34f9e924b84f3e4513a880",

@@ -21,6 +21,7 @@ from qsiglab.qsim import (
     fourier_gate,
     make_state,
     new_rng,
+    outcome_source,
     parity_labels,
     parity_measure,
     reduced_density,
@@ -42,7 +43,7 @@ from qsiglab.truesig import (
     verify,
 )
 
-from _helpers import basis_state, clock_gate, shift_gate
+from _helpers import basis_state, clock_gate, evaluate, shift_gate
 
 CONFIGS = [(5, 2), (7, 2), (7, 3)]
 
@@ -107,7 +108,7 @@ def test_signed_state_matches_pointwise_oracle(d, k):
         bundle = sign(keys, psi, make_state(d, 1, psi))
         oracle = np.zeros(d ** (2 * k - 1), dtype=np.complex128)
         for x in itertools.product(range(d), repeat=k):
-            coords = fm.evaluate(list(x))[1:]  # y_1 .. y_{2k-1}
+            coords = evaluate(fm, list(x))[1:]  # y_1 .. y_{2k-1}
             idx = 0
             for y in coords:
                 idx = idx * d + int(y)
@@ -299,8 +300,11 @@ class _Postselected:
 def _reference_steps_1_to_3(keys, bundle, source):
     """Protocol-mode steps 1 to 3 composed from qsim's generic measurements,
     with no register contracted away: the syndrome, then each pair's a - b
-    test and its a + b test between F (x) F and its inverse. Returns the
-    syndrome, the step 2 and step 3 verdicts, and the decoded post-state."""
+    measurement and its a + b test between F (x) F and its inverse. The
+    a - b outcome is taken from the referee, so it draws nothing, and it
+    must be 0 with certainty: a zero syndrome already leaves a = b on every
+    pair. Returns the syndrome, the step 2 and step 3 verdicts, and the
+    decoded post-state."""
     vk = keys.verifying
     d, k = vk.d, vk.k
     cur, syndrome = bundle.s_state, []
@@ -313,9 +317,8 @@ def _reference_steps_1_to_3(keys, bundle, source):
     cur = decode(vk, cur)
     ff = fourier_gate(d)
     for a, b in [(i, k - 1 + i) for i in range(1, k)]:
-        rec = parity_measure(cur, [1, d - 1], [a, b], source)
-        if rec.outcome != 0:
-            return syndrome, True, False, rec.post_state
+        rec = parity_measure(cur, [1, d - 1], [a, b], outcome_source("referee"))
+        assert rec.outcome == 0 and rec.probability >= 1.0 - 1e-12, (a, b, rec.probability)
         cur = apply_gate(apply_gate(rec.post_state, ff, [a]), ff, [b])
         rec = parity_measure(cur, [1, 1], [a, b], source)
         if rec.outcome != 0:
@@ -410,6 +413,22 @@ def test_protocol_step1_projection_matches_full_state_reference(d, k):
         assert rng.bit_generator.state == replay.bit_generator.state, seed
         seen.add(failed_step(verdict))
     assert seen == {"none", "step1"}
+
+
+@pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 3)])
+def test_protocol_verify_draws_2k_uniforms(d, k):
+    # k - 1 syndromes, k - 1 conjugate-basis pair tests and the two equality
+    # tests, each one uniform: a - b is settled by the syndrome and not drawn
+    keys, honest, _ = _bundle(d, k, 97)
+    other = _random_message(d, 98)
+    forged = forge(keys.verifying, honest, other, make_state(d, 1, other))
+    for name, bundle in (("honest", honest), ("forged", forged)):
+        for seed in range(4):
+            rng, replay = new_rng(seed), new_rng(seed)
+            assert verify(keys, bundle, "protocol", rng=rng).overall, (name, seed)
+            for _ in range(2 * k):
+                replay.random()
+            assert rng.bit_generator.state == replay.bit_generator.state, (name, seed)
 
 
 @pytest.mark.parametrize("d,k", [(5, 2), (7, 3), (11, 2)])
@@ -584,7 +603,7 @@ def test_forge_refuses_a_message_entangled_with_a_pair():
 # one SHA-256 over, for each case, the forged signed state, the factor and rest
 # that the forged state decodes to, the protocol verdict on it, and one draw of
 # the rng after that verdict
-_FORGERY_BYTES_DIGEST = "17a53d8e4ea6882e055ce7a649d65e5accf60fe31f82f1b9231941db77bf258d"
+_FORGERY_BYTES_DIGEST = "122967f22684880991bb95b3c146170c6a924a43614bf5030470c5a8bc6f411b"
 _FORGERY_CASES = [(5, 2), (7, 2), (7, 3), (11, 2), (11, 3)]
 
 
