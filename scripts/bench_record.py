@@ -10,9 +10,10 @@ metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
 faults of one warm ``truesig_forgery_d7k3`` trial, one warm
 ``session_tamper_t6`` trial, one trap encode, one trap verify and one
-protocol-mode truesig verify, the ms of one truesig keygen, one sign and
-one forge, and the µs of one ``wc_check`` at each MAC width and of one
-``PureState`` of 7^5 amplitudes (its norm check). The trials run first,
+protocol-mode truesig verify, the ms of one warm ``session_honest`` trial,
+one truesig keygen, one sign and one forge, and the µs of one
+``sample_clifford`` at 8, 12 and 16 qubits, of one ``wc_check`` at each MAC
+width and of one ``PureState`` of 7^5 amplitudes (its norm check). The trials run first,
 right after calibration, and the trap kernels next, so no fault figure
 depends on the application kernels. As in the benchmark's worker, importing
 calib.py frees a 1 MiB temporary before any of them, which keeps arrays
@@ -110,6 +111,7 @@ def kernel_timings(checkout: Path) -> dict:
         warm_trial("truesig_forgery_d7k3"), 100
     )
     out["session_tamper_t6_minflt"] = _median_ms_minflt(warm_trial("session_tamper_t6"), 60)[1]
+    out["session_honest_trial_ms"] = _median_ms(warm_trial("session_honest"), 100)
     # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps;
     # a checkout from before qsim.Sampled reads its traps from the bare rng
     sampled = getattr(qsim, "Sampled", lambda rng: rng)
@@ -130,6 +132,10 @@ def kernel_timings(checkout: Path) -> dict:
         out[f"apply_clifford_m{m}_ms"] = statistics.median(
             _median_ms(lambda o=o: apply_clifford(st, o), reps) for op in ops for o in (op, op.inverse())
         )
+    # one sampled op at each size the sessions draw; µs per call, from the median of 31 runs of 100 calls
+    for m in (8, 12, 16):
+        rng = new_rng(m)
+        out[f"sample_clifford_m{m}_us"] = _median_ms(lambda: [sample_clifford(m, rng) for _ in range(100)], 31) * 10
     # protocol verify of an honest d = 7, k = 3 bundle, through the package's public names only
     keys = qsiglab.keygen(7, 3, 7)
     psi = qsiglab.make_state(7, 1, np.arange(1, 8) + 1j * np.arange(7, 0, -1))

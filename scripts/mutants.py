@@ -52,6 +52,11 @@ _STEP1_PROJECTION = tuple(
 _REFEREE_SYNDROME = tuple(
     f"tests/test_truesig.py::test_referee_syndrome_names_an_outcome_with_weight[{s}]" for s in (1, 2, 3, 4)
 )
+_CLIFFORD_STAGE = (
+    "tests/test_clifford.py::test_stage_tables_match_the_reference",
+    "tests/test_clifford.py::test_apply_matches_gate_by_gate_reference[8]",
+    "tests/test_clifford.py::test_application_bytes_pinned",
+)
 
 MUTANTS = [
     Mutant(
@@ -181,6 +186,22 @@ MUTANTS = [
             "tests/test_report_bytes.py::test_wrong_key_transcript_bytes_unchanged",
         ),
     ),
+    Mutant(
+        "clifford_key_word_drops_the_second_quad_copy",
+        "src/qsiglab/clifford.py",
+        "        np.bitwise_xor(key[:h], cols[j] | (quad[j] | quad[j] << m | (odd >> j & 1) << 2 * m) << m, out=key[h : 2 * h])\n",
+        "        np.bitwise_xor(key[:h], cols[j] | (quad[j] | (odd >> j & 1) << 2 * m) << m, out=key[h : 2 * h])\n",
+        _CLIFFORD_STAGE,
+    ),
+    Mutant(
+        "clifford_s_terms_lose_their_pairwise_carry",
+        "src/qsiglab/clifford.py",
+        "            p ^= odd\n",
+        "",
+        _CLIFFORD_STAGE,
+    ),
+    # _I_POW[-phase] is i^-phase only while phases stay in 0..3, which
+    # test_stage_tables_match_the_reference asserts
     Mutant(
         "clifford_padded_first_stage_conjugate_phase",
         "src/qsiglab/clifford.py",

@@ -41,9 +41,11 @@ v[2i] the X-bit and v[2i+1] the Z-bit of qubit i; a symplectic matrix's row
 """
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -111,18 +113,19 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
     """Uniformly random m-qubit Clifford (mod phase), in canonical form."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    # Weyl element by quantum Mallows sampling: Hadamard flags and a permutation
+    # Weyl element by quantum Mallows sampling: Hadamard flags and a permutation,
+    # from one draw below 4^(m - i) for each position i
     had, perm, inds = [], [], list(range(m))
-    for i in range(m):
+    for i, r in enumerate(rng.integers(1, [4 ** (m - i) for i in range(m)]).tolist()):
         mm = m - i
-        k = 2 * mm - int(rng.integers(1, 4**mm)).bit_length()
+        k = 2 * mm - r.bit_length()
         had.append(k < mm)
         perm.append(inds.pop(k if k < mm else 2 * mm - k - 1))
-    # Borel elements F2 and F1: only the strict lower part of L and the
-    # upper part of Gamma (a symmetric matrix) are read
-    f2 = rng.integers(0, 2, size=(2, m, m)).tolist()
-    f1 = rng.integers(0, 2, size=(2, m, m)).tolist()
-    xs, zs = rng.integers(0, 2, size=(2, m)).tolist()
+    # Borel elements F2 and F1, then the X and Z bits, from one draw: only the
+    # strict lower part of L and the upper part of Gamma (a symmetric matrix) are read
+    rows = rng.integers(0, 2, size=(4 * m + 2, m)).tolist()
+    f2, f1 = [rows[:m], rows[m : 2 * m]], [rows[2 * m : 3 * m], rows[3 * m : 4 * m]]
+    xs, zs = rows[4 * m :]
     return CliffordOp(m, f2, perm, had, f1, xs, zs)
 
 
@@ -147,11 +150,23 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # whenever it falls below the top _TOP bits; each element still meets the same
 # butterflies in the same order, so the bytes do not change.
 #
-# Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. The phase
-# is const + sum_j lin[j] x_j + 2 sum_{j,k} quad[j]_k x_j x_k (mod 4), with
-# quad held as row bitmasks; only its GF(2) value matters.
+# Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. Mod 4 the
+# phase is const + (odd & x has odd parity) + 2 (even . x) + 2 x^T quad x over
+# GF(2), quad held as row bitmasks: the S terms sum to the parity of their
+# y_i plus twice their pairwise products, which join the CZ terms. One table
+# entry is a key word of 3m + 1 bits, the xor over the set bits j of x of
+#   cols[j] | quad[j] << m | quad[j] << 2m | odd_j << 3m
+# from key[0] = b | even << m | even << 2m. Its low m bits are the index
+# A x + b; the two copies of C = even ^ xor_{j in x} quad[j] and the parity
+# of odd & x lie under the size's x-mask x << m | x << 2m | 1 << 3m, so the
+# popcount of key & mask is 2 |C & x| + (odd & x parity), which is the phase
+# less const mod 4. The table is doubled over the bits of x, one xor per bit.
+# Phases are reduced to 0..3 because take is fast only while every index is in
+# range: with out-of-range indices its wrap mode took 766 us instead of 48 us
+# at m = 16. So a gather reads i^-q from _I_POW_INV rather than negating q.
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact, and the size of an int64 phase
+_I_POW_INV = _I_POW[[0, 3, 2, 1]]  # i^-q: the same entries, so the same bytes
 _TOP = 4  # butterflies run on the top _TOP bits of the rotated layout
 _scratch = threading.local()
 
@@ -167,49 +182,39 @@ def _workspace(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return arrays[0][:size], arrays[1][:size], arrays[2][:size], arrays[3][:size]
 
 
-def _factor(phase: np.ndarray) -> np.ndarray:
-    """i^phase, written over the phase table's own memory; wrap takes the
-    negated phases of a gather too."""
-    return _I_POW.take(phase, out=phase.view(np.complex64), mode="wrap")
+@functools.lru_cache(maxsize=None)
+def _x_mask(m: int, lo: int) -> np.ndarray:
+    """x << m | x << 2m | 1 << 3m for each flat index x whose low lo bits are
+    0, in order of x: a read-only constant of the size, built in place."""
+    mask = np.arange(0, 1 << 2 * m, 1 << (m + lo), dtype=np.int64)
+    mask *= (1 << m) + 1
+    mask |= 1 << 3 * m
+    mask.flags.writeable = False
+    return mask
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _factor(phase: np.ndarray, powers: np.ndarray = _I_POW) -> np.ndarray:
+    """powers[phase], i^phase by default, written over the phase table's own
+    memory; phase is in 0..3."""
+    return powers.take(phase, out=phase.view(np.complex64), mode="clip")
 
 
-def _transpose(rows: list[int], m: int) -> list[int]:
-    cols = [0] * m
-    for p, r in enumerate(rows):
-        for j in _bits(r):
-            cols[j] |= 1 << p
-    return cols
-
-
-def _index_phase(m: int, rows, b, const, lin, quad, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _index_phase(m: int, cols, b: int, const: int, odd: int, even: int, quad, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Destination index A x + b and Z4 phase of every flat index x whose low
-    lo bits are 0, in order of x, where output bit p is the parity of
-    x & rows[p], xor b_p. Both are the workspace tables."""
-    # Double over the bits of x from bit lo up: entries [2^(j-lo), 2^(j-lo+1))
-    # are entries [0, 2^(j-lo)) with bit j set. The low m bits of key hold
-    # A x + b; bit m + k holds the parity of x against the cross terms pairing
-    # bit k with lower bits.
-    cols, quad_cols = _transpose(rows, m), _transpose(quad, m)
+    lo bits are 0, in order of x, where bit j of x flips the output bits of
+    cols[j]. Both are the workspace tables."""
     key, phase = _workspace(m - lo)[2:]
-    key[0], phase[0] = b, const
+    key[0] = b | (even | even << m) << m
     for j in range(lo, m):
+        # entries [2^(j-lo), 2^(j-lo+1)) are entries [0, 2^(j-lo)) with bit j set
         h = 1 << (j - lo)
-        cross = quad[j] ^ quad_cols[j]
-        np.bitwise_xor(key[:h], cols[j] | (cross >> (j + 1) << (m + j + 1)), out=key[h : 2 * h])
-        hi = phase[h : 2 * h]
-        np.right_shift(key[:h], m + j - 1, out=hi)
-        hi &= 2
-        hi += phase[:h]
-        hi += lin[j] + 2 * ((quad[j] >> j) & 1)
-    key &= (1 << m) - 1
+        np.bitwise_xor(key[:h], cols[j] | (quad[j] | quad[j] << m | (odd >> j & 1) << 2 * m) << m, out=key[h : 2 * h])
+    np.bitwise_and(key, _x_mask(m, lo), out=phase)
+    np.bitwise_count(phase, out=phase)
+    if const:
+        phase += const
     phase &= 3
+    key &= (1 << m) - 1
     return key, phase
 
 
@@ -218,24 +223,38 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
     lower, gamma = borel
     bit = [1 << (m - 1 - i) for i in range(m)]
     # y_i is the parity of x & rows[i]; the bits are distinct, so sum is or
-    rows = [bit[i] + sum(bit[j] for j in range(i) if row[j]) for i, row in enumerate(lower)] or bit
-    lin, quad = [0] * m, [0] * m
-    for i, row in enumerate(gamma):
-        # S: mod 4 a parity is sum_j x_j - 2 sum_{j<l} x_j x_l; CZ: 2 y_i y_j
-        partners = 0
+    rows = [bit[i] + sum(compress(bit, row[:i])) for i, row in enumerate(lower)] or bit
+    # CZ adds 2 y_i y_j. Mod 4 the S terms sum to the parity of their y_i,
+    # which is that of x & odd, plus 2 y_i y_j for each pair of them
+    partners, odd = [0] * m, 0
+    for i in range(len(gamma) - 1, -1, -1):
+        row, p = gamma[i], 0
         for j in range(i + 1, m):
             if row[j]:
-                partners ^= rows[j]
-        for p in _bits(rows[i]):
-            lin[p] += row[i]
-            quad[p] ^= partners ^ (rows[i] & -(2 << p) if row[i] else 0)
+                p ^= rows[j]
+        if row[i]:
+            p ^= odd
+            odd ^= rows[i]
+        partners[i] = p
+    even = 0
     for i, z in enumerate(zs):
         if z:
-            for p in _bits(rows[i]):
-                lin[p] += 2
-    out = [rows[q] for q in perm or range(m)]  # output qubit i is y_perm[i]
+            even ^= rows[i]
+    # output qubit i is y_perm[i]; bit j of x flips output bit p for each
+    # rows[perm[i]] that holds it, and adds partners[i] to quad[j] for each rows[i]
+    out_bit = bit[:]
+    for i, q in enumerate(perm):
+        out_bit[q] = bit[i]
+    cols, quad = [0] * m, [0] * m
+    for r, o, p in zip(rows, out_bit, partners):
+        while r:
+            low = r & -r
+            r ^= low
+            j = low.bit_length() - 1
+            cols[j] |= o
+            quad[j] ^= p
     b = sum(bit[i] for i, x in enumerate(xs) if x)
-    return _index_phase(m, out[::-1], b, 2 * sum(x & z for x, z in zip(xs, zs)), lin, quad, lo)
+    return _index_phase(m, cols, b, 2 * sum(x & z for x, z in zip(xs, zs)), odd, even, quad, lo)
 
 
 def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
@@ -252,7 +271,7 @@ def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> No
     dest, phase = _stage(m, borel, perm, xs, zs)
     # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
     np.take(src, dest, out=out, mode="clip")
-    out *= _factor(np.negative(phase, out=phase))
+    out *= _factor(phase, _I_POW_INV)
 
 
 def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
@@ -374,6 +393,6 @@ def undo_clifford_column(state: PureState, op: CliffordOp, t: int, pick) -> tupl
     col = pick(weights.reshape(-1, cols).sum(axis=0))
     rows = slice(col, None, cols)
     kept = amps[dest[rows]]
-    kept *= _factor(np.negative(phase[rows]))
+    kept *= _factor(phase[rows], _I_POW_INV)
     return col, kept
 

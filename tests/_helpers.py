@@ -3,6 +3,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qsiglab.clifford import CliffordOp
 from qsiglab.fieldcode import FunctionalMatrix, mod_rref
 from qsiglab.qsim import GateMatrix, PureState
 
@@ -64,6 +65,21 @@ def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
     for q in range(len(vec) // 2):
         out = np.kron(out, _P1[(int(vec[2 * q]), int(vec[2 * q + 1]))])
     return (-1) ** int(sign) * out
+
+
+def reference_sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
+    """sample_clifford with one rng call per Mallows bound and one per Borel
+    element: the draws and rng state that its batched calls must reproduce."""
+    had, perm, inds = [], [], list(range(m))
+    for i in range(m):
+        mm = m - i
+        k = 2 * mm - int(rng.integers(1, 4**mm)).bit_length()
+        had.append(k < mm)
+        perm.append(inds.pop(k if k < mm else 2 * mm - k - 1))
+    f2 = rng.integers(0, 2, size=(2, m, m)).tolist()
+    f1 = rng.integers(0, 2, size=(2, m, m)).tolist()
+    xs, zs = rng.integers(0, 2, size=(2, m)).tolist()
+    return CliffordOp(m, f2, perm, had, f1, xs, zs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import pytest
 
 from qsiglab.clifford import (
     CliffordOp,
+    _layers,
+    _stage,
     apply_clifford,
     apply_clifford_padded,
     sample_clifford,
@@ -21,7 +23,7 @@ from qsiglab.clifford import (
 )
 from qsiglab.qsim import GateMatrix, apply_gate, fidelity, new_rng, sample_random_pure
 
-from _helpers import basis_state, is_symplectic, pauli_from_bits
+from _helpers import basis_state, is_symplectic, pauli_from_bits, reference_sample_clifford
 
 # Explicit gate matrices, applied one by one with qsim.apply_gate: the
 # reference shares no code with clifford's application.
@@ -264,6 +266,52 @@ def test_gate_vocabulary_against_dense_embeddings():
         assert np.abs(fast - _reference_apply(st, op.gates).amps).max() < 1e-12, (name, qs)
 
 
+def _reference_stage(m, borel, perm, xs, zs, lo):
+    """dest = P y + xs and q(y) = sum_i Gamma_ii y_i + 2 sum_{i<j} Gamma_ij y_i y_j
+    + 2 zs.y + 2 |zs & xs|, y = (I + L) x, of every flat index x whose low lo
+    bits are 0, one index at a time from the canonical-form data; qubit i is
+    bit m - 1 - i, empty data the identity."""
+    lower, gamma = borel
+    xs, zs, perm = xs or [0] * m, zs or [0] * m, perm or range(m)
+    dests, phases = [], []
+    for x in range(0, 1 << m, 1 << lo):
+        xq = [(x >> (m - 1 - i)) & 1 for i in range(m)]
+        y = [(xq[i] + sum(lower[i][j] * xq[j] for j in range(i))) % 2 if lower else xq[i] for i in range(m)]
+        dests.append(sum((y[q] ^ xs[i]) << (m - 1 - i) for i, q in enumerate(perm)))
+        q = sum(gamma[i][i] * y[i] + 2 * sum(gamma[i][j] * y[i] * y[j] for j in range(i + 1, m)) for i in range(len(gamma)))
+        phases.append(q + 2 * sum(z * v for z, v in zip(zs, y)) + 2 * sum(z & v for z, v in zip(zs, xs)))
+    return dests, phases
+
+
+def test_stage_tables_match_the_reference():
+    # the index and phase tables of both H-free stages, built from each bit's
+    # key word and a popcount, against the canonical-form formula. Phases must
+    # be exact and in 0..3, where the factor lookups read them
+    for m in range(1, 10):
+        ops = [sample_clifford(m, new_rng(s)) for s in range(90 + m, 94 + m)] + [CliffordOp(m)]
+        if m <= 5:  # every single-field op at m = 9 would take the reference 7 s
+            ops += [op for op, _ in _one_field_ops(m) if not op.inverted]
+        for op in ops:
+            first, _, last = _layers(op)
+            for stage in (first, last):
+                for lo in sorted({0, 1, m - 1} & set(range(m))):
+                    dest, phase = (a.tolist() for a in _stage(m, *stage, lo=lo))
+                    ref_dest, ref_phase = _reference_stage(m, *stage, lo)
+                    assert dest == ref_dest, (op, stage, lo)
+                    assert phase == [q % 4 for q in ref_phase], (op, stage, lo)
+
+
+def test_sampler_makes_the_rng_calls_it_replaces():
+    # one array-bound draw for the Mallows integers and one for every bit
+    # stand for one call per bound and one per Borel element: the same op,
+    # and the generator left in the same state
+    for m in range(1, 21):
+        for s in range(50):
+            rng, ref = new_rng(s), new_rng(s)
+            assert sample_clifford(m, rng) == reference_sample_clifford(m, ref), (m, s)
+            assert rng.bit_generator.state == ref.bit_generator.state, (m, s)
+
+
 def test_sample_clifford_rejects_bad_m():
     with pytest.raises(ValueError):
         sample_clifford(0, new_rng(0))
@@ -278,9 +326,9 @@ def test_large_block_application_speed():
     elapsed = time.perf_counter() - t0
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
     # two permutation passes built from the sampled data, around one H layer,
-    # on two buffers: about 7.5 ms for this op (16 H) on a 2-core machine, of
-    # which the H layer is about 3 ms; 30-40 ms gate by gate. The 1 s bound is
-    # a regression fence
+    # on two buffers: about 5 ms for this op (16 H) on a 2-core machine, of
+    # which the H layer is about 2.7 ms; 30-40 ms gate by gate. The 1 s bound
+    # is a regression fence
     assert elapsed < 1.0
 
 

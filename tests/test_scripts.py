@@ -43,6 +43,9 @@ def test_script_runs(script, args):
         assert "qauth_encode_t6_minflt" in kernels
         assert "qauth_verify_t6_minflt" in kernels
         assert "session_tamper_t6_minflt" in kernels
+        assert kernels["session_honest_trial_ms"] > 0
+        for m in (8, 12, 16):
+            assert kernels[f"sample_clifford_m{m}_us"] > 0
         for name in ("trial", "verify", "forge", "keygen", "sign"):
             assert kernels[f"truesig_{name}_d7k3_ms"] > 0
         assert kernels["pure_state_d7n5_us"] > 0
