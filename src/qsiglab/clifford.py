@@ -19,10 +19,11 @@ and a butterfly keeps its difference half in the idle one. The two buffers
 and each stage's index and phase tables are this thread's workspace: views of
 the first 2^m entries of arrays kept from call to call, which grow to the
 largest m applied and are never shrunk, so a thread retains 48 B x 2^m (3 MiB
-at 16 qubits, 48 MiB at MAX_AMPS). No result aliases the workspace: the last
-step of each form writes into a fresh array. The pick of
-undo_clifford_column runs while the trap weights sit in the workspace, so it
-must not apply a Clifford.
+at 16 qubits, 48 MiB at MAX_AMPS); the process also keeps one read-only
+int64 x-mask per size and trap count (512 KiB at 16 qubits with no traps).
+No result aliases the workspace: the last step of each form writes into a
+fresh array. The pick of undo_clifford_column runs while the trap weights sit
+in the workspace, so it must not apply a Clifford.
 
 There are two application routines, both trap-aware. The first H-free
 stage is a permutation with a phase, so apply_clifford_padded applies an op
@@ -163,7 +164,8 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # less const mod 4. The table is doubled over the bits of x, one xor per bit.
 # Phases are reduced to 0..3 because take is fast only while every index is in
 # range: with out-of-range indices its wrap mode took 766 us instead of 48 us
-# at m = 16. So a gather reads i^-q from _I_POW_INV rather than negating q.
+# at m = 16 on a 2-core machine. So a gather reads i^-q from _I_POW_INV rather
+# than negating q.
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact, and the size of an int64 phase
 _I_POW_INV = _I_POW[[0, 3, 2, 1]]  # i^-q: the same entries, so the same bytes
@@ -240,8 +242,8 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
     for i, z in enumerate(zs):
         if z:
             even ^= rows[i]
-    # output qubit i is y_perm[i]; bit j of x flips output bit p for each
-    # rows[perm[i]] that holds it, and adds partners[i] to quad[j] for each rows[i]
+    # output qubit k is y_perm[k], so y_i lands on out_bit[i]; each bit j of
+    # rows[i] flips that output bit and adds partners[i] to quad[j]
     out_bit = bit[:]
     for i, q in enumerate(perm):
         out_bit[q] = bit[i]
