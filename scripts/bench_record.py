@@ -10,17 +10,19 @@ metrics of ``qsigbench/run.py --trace 0``, the per-layer metrics of
 ``qsigbench/run.py --trace 1``, fixed-size kernel timings and the minor page
 faults of one warm ``truesig_forgery_d7k3`` trial, one warm
 ``session_tamper_t6`` trial, one trap encode, one trap verify and one
-protocol-mode truesig verify, the ms of one warm ``session_honest`` trial,
-one truesig keygen, one sign and one forge, and the µs of one
-``sample_clifford`` at 8, 12 and 16 qubits, of one ``wc_check`` at each MAC
-width and of one ``PureState`` of 7^5 amplitudes (its norm check). The trials run first,
-right after calibration, and the trap kernels next, so no fault figure
-depends on the application kernels. As in the benchmark's worker, importing
-calib.py frees a 1 MiB temporary before any of them, which keeps arrays
-under 1 MiB in the heap, so the truesig trial reads no faults. The
-benchmark and the kernels run as subprocesses on the checkout's own
-``src/`` and ``qsigbench/``, so one copy of this script records any
-checkout. A full record takes about five minutes on a 2-core machine.
+protocol-mode truesig verify, the ms of one warm ``session_honest`` and
+one warm ``session_tamper_t6`` trial, of one ``apply_clifford`` at 8, 10,
+12 and 16 qubits and of one truesig keygen, one sign and one forge, and the
+µs of one ``sample_clifford`` at 8, 12 and 16 qubits, of one ``wc_check``
+at each MAC width and of one ``PureState`` of 7^5 amplitudes (its norm
+check). The trials run first, right after calibration, and the trap
+kernels next, so no fault figure depends on the application kernels. As in
+the benchmark's worker, importing calib.py frees a 1 MiB temporary before
+any of them, which keeps arrays under 1 MiB in the heap, so the truesig
+trial reads no faults. The benchmark and the kernels run as subprocesses
+on the checkout's own ``src/`` and ``qsigbench/``, so one copy of this
+script records any checkout. A full record takes about five minutes on a
+2-core machine.
 
 ``--kernels CHECKOUT`` only prints the kernel figures of that checkout as
 JSON; the full record runs it in a single-threaded subprocess.
@@ -110,7 +112,9 @@ def kernel_timings(checkout: Path) -> dict:
     out["truesig_trial_d7k3_ms"], out["truesig_trial_d7k3_minflt"] = _median_ms_minflt(
         warm_trial("truesig_forgery_d7k3"), 100
     )
-    out["session_tamper_t6_minflt"] = _median_ms_minflt(warm_trial("session_tamper_t6"), 60)[1]
+    out["session_tamper_t6_trial_ms"], out["session_tamper_t6_minflt"] = _median_ms_minflt(
+        warm_trial("session_tamper_t6"), 60
+    )
     out["session_honest_trial_ms"] = _median_ms(warm_trial("session_honest"), 100)
     # bob's wrap and the arbiter's outer check at n = 2: a 2n + 2t qubit block with t traps;
     # a checkout from before qsim.Sampled reads its traps from the bare rng
@@ -126,7 +130,7 @@ def kernel_timings(checkout: Path) -> dict:
             lambda: qauth_verify(block, key, t, sampled(new_rng(0))), 20
         )
     # four sampled ops and their inverses, each timed on one random state
-    for m, reps in ((10, 20), (12, 10), (16, 5)):
+    for m, reps in ((8, 40), (10, 20), (12, 10), (16, 5)):
         st = sample_random_pure(2, m, new_rng(m))
         ops = [sample_clifford(m, new_rng(s)) for s in range(4)]
         out[f"apply_clifford_m{m}_ms"] = statistics.median(

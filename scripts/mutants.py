@@ -57,6 +57,11 @@ _CLIFFORD_STAGE = (
     "tests/test_clifford.py::test_apply_matches_gate_by_gate_reference[8]",
     "tests/test_clifford.py::test_application_bytes_pinned",
 )
+_H_LAYER = (
+    "tests/test_clifford.py::test_h_layer_matches_one_h_at_a_time[forward]",
+    "tests/test_clifford.py::test_h_layer_matches_one_h_at_a_time[inverse]",
+    "tests/test_clifford.py::test_application_bytes_pinned",
+)
 
 MUTANTS = [
     Mutant(
@@ -199,6 +204,23 @@ MUTANTS = [
         "            p ^= odd\n",
         "",
         _CLIFFORD_STAGE,
+    ),
+    # the qubit lands one bit below the top, and the top bit keeps the pair's top bit
+    Mutant(
+        "clifford_butterfly_writes_the_next_layout_one_bit_off",
+        "src/qsiglab/clifford.py",
+        "        np.add(buf[0::2], buf[1::2], out=idle[:half])\n        np.subtract(buf[0::2], buf[1::2], out=idle[half:])\n",
+        "        s, d = idle.reshape(2, 2, -1).transpose(1, 0, 2)\n"
+        "        np.add(buf[0::2].reshape(2, -1), buf[1::2].reshape(2, -1), out=s)\n"
+        "        np.subtract(buf[0::2].reshape(2, -1), buf[1::2].reshape(2, -1), out=d)\n",
+        _H_LAYER,
+    ),
+    Mutant(
+        "clifford_h_layer_skips_the_last_scale",
+        "src/qsiglab/clifford.py",
+        "        np.multiply(idle, _INV_SQRT2, out=idle)\n",
+        "        if _ < count - 1:\n            np.multiply(idle, _INV_SQRT2, out=idle)\n",
+        _H_LAYER,
     ),
     # _I_POW[-phase] is i^-phase only while phases stay in 0..3, which
     # test_stage_tables_match_the_reference asserts

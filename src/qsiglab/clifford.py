@@ -9,21 +9,23 @@ giving every Clifford (mod global phase) the same probability. A CliffordOp
 keeps these draws as they came and derives its gate list from them.
 
 Application works on a state vector and does not go gate by gate: F2 with
-the permutation, then the H layer, then F1 with the Pauli layer. The H layer
-runs each butterfly on one of the top bits of a rotated amplitude layout,
-where its rows are long.
+the permutation, then the H layer, then F1 with the Pauli layer. Inside the
+H layer the qubits sit in another order: each H qubit is on the bottom bit of
+the flat index when its turn comes, so each butterfly pairs neighbouring
+entries and writes contiguous halves, and the stages on either side of the
+layer write and read that order directly.
 
 Each application runs on two buffers of the state's size. Every stage and
-every rotation writes from the buffer that holds the data into the idle one,
-and a butterfly keeps its difference half in the idle one. The two buffers
-and each stage's index and phase tables are this thread's workspace: views of
-the first 2^m entries of arrays kept from call to call, which grow to the
-largest m applied and are never shrunk, so a thread retains 48 B x 2^m (3 MiB
-at 16 qubits, 48 MiB at MAX_AMPS); the process also keeps one read-only
-int64 x-mask per size and trap count (512 KiB at 16 qubits with no traps).
-No result aliases the workspace: the last step of each form writes into a
-fresh array. The pick of undo_clifford_column runs while the trap weights sit
-in the workspace, so it must not apply a Clifford.
+every butterfly writes from the buffer that holds the data into the idle
+one, and the two swap roles. The two buffers and each stage's index and
+phase tables are this thread's workspace: views of the first 2^m entries of
+arrays kept from call to call, which grow to the largest m applied and are
+never shrunk, so a thread retains 48 B x 2^m (3 MiB at 16 qubits, 48 MiB at
+MAX_AMPS); the process also keeps one read-only int64 x-mask per size and
+trap count (512 KiB at 16 qubits with no traps). No result aliases the
+workspace: the last step of each form writes into a fresh array. The pick of
+undo_clifford_column runs while the trap weights sit in the workspace, so it
+must not apply a Clifford.
 
 There are two application routines, both trap-aware. The first H-free
 stage is a permutation with a phase, so apply_clifford_padded applies an op
@@ -145,13 +147,22 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 # can be built for the rows whose low lo bits are 0 alone (_index_phase's
 # lo), and a gather for any subset of its rows.
 #
-# A butterfly on qubit q pairs rows of 2^(m-1-q) amplitudes, which are short
-# for high q. The H layer therefore keeps the state in a rotated qubit order
-# and moves the next qubit up with one transpose copy into the idle buffer
-# whenever it falls below the top _TOP bits; each element still meets the same
-# butterflies in the same order, so the bytes do not change.
+# A layout gives each qubit its bit of the flat amplitude index; in the
+# natural one, which every state outside this module has, qubit q is bit
+# m - 1 - q. A butterfly in place on qubit q would pair rows of 2^(m-1-q)
+# amplitudes, which are short for high q. So the layer's first layout puts
+# the H qubits on the low bits in the order they run (_layers), and each
+# butterfly reads its pair at the bottom bit and writes the sum and
+# difference as the two halves of the idle buffer: that rotates the index
+# down by one bit and brings the next H qubit to the bottom (_hadamards).
+# The stage before the layer scatters into its first layout and the stage
+# after it reads its last: a stage takes the bit of each qubit on both
+# sides, so a layout costs nothing at table build. Each element still meets
+# the same butterflies in the same order, and each stage entry is the same
+# product at a relabelled index, so the bytes are those of the natural
+# layout throughout.
 #
-# Bits: x is the flat amplitude index, so qubit q is bit m - 1 - q. Mod 4 the
+# Bits: x is the flat index on the stage's input side. Mod 4 the
 # phase is const + (odd & x has odd parity) + 2 (even . x) + 2 x^T quad x over
 # GF(2), quad held as row bitmasks: the S terms sum to the parity of their
 # y_i plus twice their pairwise products, which join the CZ terms. One table
@@ -169,7 +180,6 @@ def sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:
 
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex64)  # exact, and the size of an int64 phase
 _I_POW_INV = _I_POW[[0, 3, 2, 1]]  # i^-q: the same entries, so the same bytes
-_TOP = 4  # butterflies run on the top _TOP bits of the rotated layout
 _scratch = threading.local()
 
 
@@ -220,12 +230,12 @@ def _index_phase(m: int, cols, b: int, const: int, odd: int, even: int, quad, lo
     return key, phase
 
 
-def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """_index_phase of |x> -> i^q(y) |P y + xs>, y = (I + L) x."""
+def _stage(m: int, borel, perm, xs, zs, bit_in, bit_out, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """_index_phase of |x> -> i^q(y) |P y + xs>, y = (I + L) x, where qubit i
+    is the flat-index bit bit_in[i] of x and bit_out[i] of the output."""
     lower, gamma = borel
-    bit = [1 << (m - 1 - i) for i in range(m)]
     # y_i is the parity of x & rows[i]; the bits are distinct, so sum is or
-    rows = [bit[i] + sum(compress(bit, row[:i])) for i, row in enumerate(lower)] or bit
+    rows = [bit_in[i] + sum(compress(bit_in, row[:i])) for i, row in enumerate(lower)] or bit_in
     # CZ adds 2 y_i y_j. Mod 4 the S terms sum to the parity of their y_i,
     # which is that of x & odd, plus 2 y_i y_j for each pair of them
     partners, odd = [0] * m, 0
@@ -244,9 +254,9 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
             even ^= rows[i]
     # output qubit k is y_perm[k], so y_i lands on out_bit[i]; each bit j of
     # rows[i] flips that output bit and adds partners[i] to quad[j]
-    out_bit = bit[:]
+    out_bit = bit_out[:]
     for i, q in enumerate(perm):
-        out_bit[q] = bit[i]
+        out_bit[q] = bit_out[i]
     cols, quad = [0] * m, [0] * m
     for r, o, p in zip(rows, out_bit, partners):
         while r:
@@ -255,68 +265,67 @@ def _stage(m: int, borel, perm, xs, zs, lo: int = 0) -> tuple[np.ndarray, np.nda
             j = low.bit_length() - 1
             cols[j] |= o
             quad[j] ^= p
-    b = sum(bit[i] for i, x in enumerate(xs) if x)
+    b = sum(bit_out[i] for i, x in enumerate(xs) if x)
     return _index_phase(m, cols, b, 2 * sum(x & z for x, z in zip(xs, zs)), odd, even, quad, lo)
 
 
-def _scatter(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
+def _scatter(src: np.ndarray, out: np.ndarray, m: int, *stage) -> None:
     """out = |x> -> i^q(y) |P y + xs>, y = (I + L) x, of src, which it phases
-    in place first."""
-    dest, phase = _stage(m, borel, perm, xs, zs)
+    in place first; stage is _stage's arguments after m."""
+    dest, phase = _stage(m, *stage)
     src *= _factor(phase)
     out[dest] = src
 
 
-def _gather(src: np.ndarray, out: np.ndarray, m: int, borel, perm, xs, zs) -> None:
+def _gather(src: np.ndarray, out: np.ndarray, m: int, *stage) -> None:
     """out = the inverse of _scatter's map, of src: out[x] = i^-q[x] src[dest[x]].
     Each element meets the same product as when src is phased at dest first."""
-    dest, phase = _stage(m, borel, perm, xs, zs)
+    dest, phase = _stage(m, *stage)
     # dest is a permutation, so clip never clips; it spares raise mode's buffered copy of out
     np.take(src, dest, out=out, mode="clip")
     out *= _factor(phase, _I_POW_INV)
 
 
-def _hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
-    """H on qubit q of a, in place; the difference half goes through idle."""
-    v = a.reshape(1 << q, 2, -1)
-    v0, v1 = v[:, 0], v[:, 1]
-    d = np.subtract(v0, v1, out=idle.reshape(-1)[: v0.size].reshape(v0.shape))
-    v0 += v1
-    v0 *= _INV_SQRT2
-    np.multiply(d, _INV_SQRT2, out=v1)
-
-
-def _rotate(buf: np.ndarray, idle: np.ndarray, m: int, s: int) -> None:
-    """idle = buf with its top s qubit bits moved below the other m - s."""
-    idle.reshape(1 << (m - s), 1 << s, -1)[...] = buf.reshape(1 << s, 1 << (m - s), -1).transpose(1, 0, 2)
-
-
-def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, hs: list[int], inverted: bool):
-    """H on each qubit of hs, in that order; returns the buffer that holds the
-    result and the idle one. hs ascends, or descends for an inverse; a rotation
-    puts the qubit on the top bit or on bit _TOP - 1 respectively, so that the
-    next qubits need no copy. Each rotation writes into the idle buffer, and
-    the two swap roles."""
-    r = 0  # buf holds qubits r, ..., m - 1, 0, ..., r - 1 from the top bit down
-    for q in hs:
-        p = (q - r) % m
-        if p >= _TOP:
-            p = _TOP - 1 if inverted else 0
-            _rotate(buf, idle, m, (q - p - r) % m)
-            buf, idle = idle, buf
-            r = (q - p) % m
-        _hadamard(buf, p, idle)
-    # test r, not the buffer: an even count of rotations can end on buf with r != 0
-    if r:
-        _rotate(buf, idle, m, -r % m)
+def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, count: int):
+    """H on the bottom bit of buf, count times; returns the buffer that holds
+    the result and the idle one. Each butterfly pairs the even and odd
+    entries of buf and writes their sum and difference, scaled, to the low
+    and high halves of the idle buffer: the index rotates down by one bit, so
+    the qubit moves to the top bit and the one above it comes to the bottom.
+    _layers lays the H qubits out from the bottom bit up in the order they
+    run."""
+    half = 1 << (m - 1)
+    for _ in range(count):
+        np.add(buf[0::2], buf[1::2], out=idle[:half])
+        np.subtract(buf[0::2], buf[1::2], out=idle[half:])
+        np.multiply(idle, _INV_SQRT2, out=idle)
         buf, idle = idle, buf
     return buf, idle
 
 
-def _layers(op: CliffordOp):
-    """The H-free stage a forward op applies first, its H qubits in order, and
-    the H-free stage it applies last."""
-    return (op.f2, op.perm, (), ()), [q for q, h in enumerate(op.had) if h], (op.f1, (), op.xs, op.zs)
+def _layers(op: CliffordOp, inverted: bool = False):
+    """The H-free stage a forward op applies first, the number of its H
+    qubits, and the H-free stage it applies last, each with its input and
+    output layouts (_stage's bit_in and bit_out) for the H layer of op, or of
+    its inverse if inverted.
+
+    The state side of each stage has the natural layout. The layer's first
+    layout holds its H qubits from the bottom bit up in the order it runs
+    them, ascending for op and descending for its inverse, then the other
+    qubits ascending; each butterfly rotates the layout down by one bit."""
+    m = op.m
+    hs = [q for q, h in enumerate(op.had) if h]
+    if inverted:
+        hs.reverse()
+    order = hs + [q for q in range(m) if q not in hs]
+    start, end = [0] * m, [0] * m
+    for i, q in enumerate(order):
+        start[q], end[q] = 1 << i, 1 << (i - len(hs)) % m
+    # start and end meet op's first and last stage: the inverse layer runs from end to start
+    if inverted:
+        start, end = end, start
+    natural = [1 << (m - 1 - q) for q in range(m)]
+    return (op.f2, op.perm, (), (), natural, start), len(hs), (op.f1, (), op.xs, op.zs, end, natural)
 
 
 def _check_state(state: PureState, n: int) -> None:
@@ -348,13 +357,13 @@ def apply_clifford_padded(state: PureState, op: CliffordOp, t: int) -> PureState
     if op.inverted:
         raise ValueError("the padded application takes an op that is not inverted")
     _check_state(state, op.m - t)
-    first, hs, last = _layers(op)
+    first, count, last = _layers(op)
     amps, idle = _workspace(op.m)[:2]
     dest, phase = _stage(op.m, *first, lo=t)
     payload = np.multiply(state.amps, _factor(phase), out=idle[: state.amps.size])
     amps.fill(0)
     amps[dest] = payload
-    buf, idle = _hadamards(amps, idle, op.m, hs, False)
+    buf, idle = _hadamards(amps, idle, op.m, count)
     out = np.empty_like(buf)
     _scatter(buf, out, op.m, *last)
     return PureState(2, op.m, out)
@@ -366,10 +375,10 @@ def _undo_to_first_stage(state: PureState, op: CliffordOp):
     workspace buffer that holds the result, the idle one, and op's first
     stage, whose gather completes the inverse."""
     _check_state(state, op.m)
-    first, hs, last = _layers(op)
+    first, count, last = _layers(op, inverted=True)
     amps, idle = _workspace(op.m)[:2]
     _gather(state.amps, amps, op.m, *last)
-    amps, idle = _hadamards(amps, idle, op.m, hs[::-1], True)
+    amps, idle = _hadamards(amps, idle, op.m, count)
     return amps, idle, first
 
 

@@ -39,7 +39,9 @@ def clock_gate(d: int, b: int = 1) -> GateMatrix:
 
 
 # ---------------------------------------------------------------------------
-# qubit Paulis and symplectic matrices, in clifford's bit conventions
+# qubit Paulis, symplectic matrices and Clifford references, in clifford's bit conventions
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def is_symplectic(g: np.ndarray) -> bool:
@@ -65,6 +67,19 @@ def pauli_from_bits(vec: np.ndarray, sign: int) -> np.ndarray:
     for q in range(len(vec) // 2):
         out = np.kron(out, _P1[(int(vec[2 * q]), int(vec[2 * q + 1]))])
     return (-1) ** int(sign) * out
+
+
+def reference_hadamard(a: np.ndarray, q: int, idle: np.ndarray) -> None:
+    """H on qubit q (flat-index bit m - 1 - q) of a, in place, one butterfly on
+    the pairs of rows that bit splits; the difference half goes through idle.
+    The H layer's arithmetic: each amplitude pair (u, v) becomes
+    ((u + v) * 2^-1/2, (u - v) * 2^-1/2)."""
+    v = a.reshape(1 << q, 2, -1)
+    v0, v1 = v[:, 0], v[:, 1]
+    d = np.subtract(v0, v1, out=idle.reshape(-1)[: v0.size].reshape(v0.shape))
+    v0 += v1
+    v0 *= _INV_SQRT2
+    np.multiply(d, _INV_SQRT2, out=v1)
 
 
 def reference_sample_clifford(m: int, rng: np.random.Generator) -> CliffordOp:

@@ -14,6 +14,7 @@ import pytest
 
 from qsiglab.clifford import (
     CliffordOp,
+    _hadamards,
     _layers,
     _stage,
     apply_clifford,
@@ -23,7 +24,7 @@ from qsiglab.clifford import (
 )
 from qsiglab.qsim import GateMatrix, apply_gate, fidelity, new_rng, sample_random_pure
 
-from _helpers import basis_state, is_symplectic, pauli_from_bits, reference_sample_clifford
+from _helpers import basis_state, is_symplectic, pauli_from_bits, reference_hadamard, reference_sample_clifford
 
 # Explicit gate matrices, applied one by one with qsim.apply_gate: the
 # reference shares no code with clifford's application.
@@ -266,39 +267,90 @@ def test_gate_vocabulary_against_dense_embeddings():
         assert np.abs(fast - _reference_apply(st, op.gates).amps).max() < 1e-12, (name, qs)
 
 
-def _reference_stage(m, borel, perm, xs, zs, lo):
+def _reference_stage(m, borel, perm, xs, zs, bit_in, bit_out, lo):
     """dest = P y + xs and q(y) = sum_i Gamma_ii y_i + 2 sum_{i<j} Gamma_ij y_i y_j
     + 2 zs.y + 2 |zs & xs|, y = (I + L) x, of every flat index x whose low lo
     bits are 0, one index at a time from the canonical-form data; qubit i is
-    bit m - 1 - i, empty data the identity."""
+    the bit bit_in[i] of x and bit_out[i] of dest, empty data the identity."""
     lower, gamma = borel
     xs, zs, perm = xs or [0] * m, zs or [0] * m, perm or range(m)
     dests, phases = [], []
     for x in range(0, 1 << m, 1 << lo):
-        xq = [(x >> (m - 1 - i)) & 1 for i in range(m)]
+        xq = [int(x & bit_in[i] != 0) for i in range(m)]
         y = [(xq[i] + sum(lower[i][j] * xq[j] for j in range(i))) % 2 if lower else xq[i] for i in range(m)]
-        dests.append(sum((y[q] ^ xs[i]) << (m - 1 - i) for i, q in enumerate(perm)))
+        dests.append(sum(bit_out[i] for i, q in enumerate(perm) if y[q] ^ xs[i]))
         q = sum(gamma[i][i] * y[i] + 2 * sum(gamma[i][j] * y[i] * y[j] for j in range(i + 1, m)) for i in range(len(gamma)))
         phases.append(q + 2 * sum(z * v for z, v in zip(zs, y)) + 2 * sum(z & v for z, v in zip(zs, xs)))
     return dests, phases
 
 
+def _layouts(m):
+    """The natural layout (qubit q on bit m - 1 - q) and the bit-reversed one,
+    and at m <= 5 every rotation of each, as _stage's bit lists."""
+    shifts = range(m) if m <= 5 else [0]
+    return [[1 << (b + r) % m for b in base] for base in (range(m - 1, -1, -1), range(m)) for r in shifts]
+
+
 def test_stage_tables_match_the_reference():
     # the index and phase tables of both H-free stages, built from each bit's
     # key word and a popcount, against the canonical-form formula. Phases must
-    # be exact and in 0..3, where the factor lookups read them
+    # be exact and in 0..3, where the factor lookups read them. Each stage
+    # runs with the layouts _layers gives it for the op and for its inverse.
+    # The sampled ops and the identity also run with each of _layouts on the
+    # input side, paired with the layout k further on in that list for op k
     for m in range(1, 10):
-        ops = [sample_clifford(m, new_rng(s)) for s in range(90 + m, 94 + m)] + [CliffordOp(m)]
+        sampled = [sample_clifford(m, new_rng(s)) for s in range(90 + m, 94 + m)] + [CliffordOp(m)]
+        ops = sampled[:]
         if m <= 5:  # every single-field op at m = 9 would take the reference 7 s
             ops += [op for op, _ in _one_field_ops(m) if not op.inverted]
-        for op in ops:
-            first, _, last = _layers(op)
-            for stage in (first, last):
+        layouts = _layouts(m)
+        for k, op in enumerate(ops):
+            stages = [stage for inverted in (False, True) for stage in _layers(op, inverted)[::2]]
+            if k < len(sampled):
+                pairs = list(zip(layouts, layouts[k:] + layouts[:k]))
+                stages += [(*stage[:4], bit_in, bit_out) for stage in stages[:2] for bit_in, bit_out in pairs]
+            for stage in stages:
                 for lo in sorted({0, 1, m - 1} & set(range(m))):
                     dest, phase = (a.tolist() for a in _stage(m, *stage, lo=lo))
                     ref_dest, ref_phase = _reference_stage(m, *stage, lo)
                     assert dest == ref_dest, (op, stage, lo)
                     assert phase == [q % 4 for q in ref_phase], (op, stage, lo)
+
+
+def _signed_zero_state(m, rng):
+    """2^m amplitudes whose parts are drawn from 1, -1, 0.5, +0 and -0, so that
+    sums and differences cancel exactly and the signs of zeros show."""
+    parts = rng.choice(np.array([1.0, -1.0, 0.5, 0.0, -0.0]), size=(1 << m, 2))
+    amps = parts[:, 0] + 0j
+    amps.imag = parts[:, 1]
+    amps[: 1 << (m // 2)] = complex(-0.0, -0.0)
+    return amps
+
+
+@pytest.mark.parametrize("inverted", [False, True], ids=["forward", "inverse"])
+def test_h_layer_matches_one_h_at_a_time(inverted):
+    # the layer runs in the layouts _layers gives its stages: laid out in the
+    # first, run, and read back through the last, its bytes, signed zeros
+    # included, must be those of one H at a time in the natural layout
+    for m in list(range(1, 13)) + [16]:
+        x = np.arange(1 << m)
+        rng = new_rng(300 + m)
+        ops = [sample_clifford(m, rng) for _ in range(3 if m < 16 else 1)]
+        ops += [CliffordOp(m, had=[1] * m), CliffordOp(m, had=[q % 2 for q in range(m)])]
+        for op in ops:
+            first, count, last = _layers(op, inverted)
+            into, outof = (last[4], first[5]) if inverted else (first[5], last[4])
+            hs = [q for q, h in enumerate(op.had) if h][:: -1 if inverted else 1]
+            assert count == len(hs)
+            for amps in (_signed_zero_state(m, rng), sample_random_pure(2, m, rng).amps):
+                ref, idle = amps.copy(), np.empty_like(amps)
+                for q in hs:
+                    reference_hadamard(ref, q, idle)
+                buf = np.empty_like(amps)
+                buf[sum((x >> (m - 1 - q) & 1) * b for q, b in enumerate(into))] = amps
+                out, _ = _hadamards(buf, np.empty_like(amps), m, count)
+                got = out[sum((x >> (m - 1 - q) & 1) * b for q, b in enumerate(outof))]
+                assert got.tobytes() == ref.tobytes(), (m, op)
 
 
 def test_sampler_makes_the_rng_calls_it_replaces():
@@ -326,8 +378,8 @@ def test_large_block_application_speed():
     elapsed = time.perf_counter() - t0
     assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-9
     # two permutation passes built from the sampled data, around one H layer,
-    # on two buffers: about 5 ms for this op (16 H) on a 2-core machine, of
-    # which the H layer is about 2.7 ms; 30-40 ms gate by gate. The 1 s bound
+    # on two buffers: about 3.7 ms for this op (16 H) on a 2-core machine, of
+    # which the H layer is about 1.6 ms; 30-40 ms gate by gate. The 1 s bound
     # is a regression fence
     assert elapsed < 1.0
 

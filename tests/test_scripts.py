@@ -44,6 +44,9 @@ def test_script_runs(script, args):
         assert "qauth_verify_t6_minflt" in kernels
         assert "session_tamper_t6_minflt" in kernels
         assert kernels["session_honest_trial_ms"] > 0
+        assert kernels["session_tamper_t6_trial_ms"] > 0
+        for m in (8, 10, 12, 16):
+            assert kernels[f"apply_clifford_m{m}_ms"] > 0
         for m in (8, 12, 16):
             assert kernels[f"sample_clifford_m{m}_us"] > 0
         for name in ("trial", "verify", "forge", "keygen", "sign"):
