@@ -288,12 +288,9 @@ def _gather(src: np.ndarray, out: np.ndarray, m: int, *stage) -> None:
 
 def _hadamards(buf: np.ndarray, idle: np.ndarray, m: int, count: int):
     """H on the bottom bit of buf, count times; returns the buffer that holds
-    the result and the idle one. Each butterfly pairs the even and odd
-    entries of buf and writes their sum and difference, scaled, to the low
-    and high halves of the idle buffer: the index rotates down by one bit, so
-    the qubit moves to the top bit and the one above it comes to the bottom.
-    _layers lays the H qubits out from the bottom bit up in the order they
-    run."""
+    the result and the idle one. Each butterfly writes the sums and
+    differences of the even and odd entries of buf, scaled, to the low and
+    high halves of the idle buffer, which rotates the index down by one bit."""
     half = 1 << (m - 1)
     for _ in range(count):
         np.add(buf[0::2], buf[1::2], out=idle[:half])
@@ -312,7 +309,7 @@ def _layers(op: CliffordOp, inverted: bool = False):
     The state side of each stage has the natural layout. The layer's first
     layout holds its H qubits from the bottom bit up in the order it runs
     them, ascending for op and descending for its inverse, then the other
-    qubits ascending; each butterfly rotates the layout down by one bit."""
+    qubits ascending; its last is that layout rotated down by one bit per H."""
     m = op.m
     hs = [q for q, h in enumerate(op.had) if h]
     if inverted:
